@@ -1,8 +1,7 @@
 // Hot-path microbench for the Paillier/PSS pipeline: fast vs reference
 // encryption (g = n+1 shortcut vs generic double exponentiation), CRT and
-// batched decryption, shared-table mulPlainMany, the thread-parallel
-// per-segment fold, and whole-session document throughput (packed and
-// unpacked).
+// batched decryption, shared-table mulPlainMany, the serial per-segment
+// fold, and whole-session document throughput (packed and unpacked).
 //
 // Prints a JSON document; BENCH_pss.json at the repo root is seeded from
 // this output. scripts/check_bench_pss.py re-runs `--quick` and compares
@@ -17,7 +16,6 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "common/thread_pool.h"
 #include "crypto/paillier.h"
 #include "crypto/randomizer_pool.h"
 #include "pss/dictionary.h"
@@ -138,10 +136,8 @@ int main(int argc, char** argv) {
     std::printf("},\n");
   }
 
-  // --- per-segment fold: serial vs sharded through a thread pool ------
-  // folds/s per configuration; on a single-core host the sharded rates
-  // degenerate to roughly serial minus task overhead — the JSON records
-  // whatever this machine can show, the gate only checks structure here.
+  // --- per-segment fold: segments/s through one serial searcher -------
+  // Machine-shaped, so the gate only checks structure here.
   {
     const int segments = quick ? 8 : 32;
     const pss::Dictionary dict(
@@ -155,25 +151,18 @@ int main(int argc, char** argv) {
       stream.push_back((i % 4 == 1 ? "breach in segment " : "segment ") +
                        std::to_string(i));
     }
-    std::printf("  \"fold\": {\"segments\": %d, \"buffer_length\": %zu",
-                segments, params.bufferLength);
-    for (const std::size_t shards : {std::size_t{0}, std::size_t{2},
-                                     std::size_t{4}}) {
-      ThreadPool pool(shards == 0 ? 1 : shards);
-      Rng brokerRng(4242);
-      pss::StreamSearcher searcher(dict, query, /*blocks=*/2, brokerRng);
-      if (shards != 0) searcher.setFoldOptions({&pool, shards});
-      const auto t0 = SteadyClock::now();
-      for (int i = 0; i < segments; ++i) {
-        searcher.processSegment(static_cast<std::uint64_t>(i), stream[i]);
-      }
-      const double secs =
-          std::chrono::duration<double>(SteadyClock::now() - t0).count();
-      (void)searcher.finish();
-      std::printf(", \"segments_per_s_shards_%zu\": %.1f",
-                  shards == 0 ? std::size_t{1} : shards, segments / secs);
+    Rng brokerRng(4242);
+    pss::StreamSearcher searcher(dict, query, /*blocks=*/2, brokerRng);
+    const auto t0 = SteadyClock::now();
+    for (int i = 0; i < segments; ++i) {
+      searcher.processSegment(static_cast<std::uint64_t>(i), stream[i]);
     }
-    std::printf("},\n");
+    const double secs =
+        std::chrono::duration<double>(SteadyClock::now() - t0).count();
+    (void)searcher.finish();
+    std::printf("  \"fold\": {\"segments\": %d, \"buffer_length\": %zu, "
+                "\"segments_per_s\": %.1f},\n",
+                segments, params.bufferLength, segments / secs);
   }
 
   // --- whole session: documents/s, unpacked vs packed ------------------

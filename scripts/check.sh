@@ -18,11 +18,30 @@
 # clang++ is on PATH we run it here too.
 #
 # Run from the repo root. Set DPSS_CHECK_SKIP_SANITIZERS=1 for a quick
-# tier-1+lint pass.
+# tier-1+lint pass; `scripts/check.sh tsan` runs stage 4 alone (CI does).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 JOBS="$(nproc 2>/dev/null || echo 4)"
+
+tsan_stage() {
+  echo "== tsan: obs_test + thread_pool + pss fold + net/cluster subsets under -fsanitize=thread =="
+  cmake -B build-tsan -S . -DDPSS_SANITIZE=thread >/dev/null
+  cmake --build build-tsan --target obs_test common_test cluster_test net_test pss_test -j "$JOBS" >/dev/null
+  # obs_test covers the span ring, trace collector and slow-query log; the
+  # http admin tests exercise the admin loop thread against client threads.
+  ./build-tsan/tests/obs_test
+  ./build-tsan/tests/net_test --gtest_filter='HttpAdminTest.*'
+  ./build-tsan/tests/common_test --gtest_filter='ThreadPool.*'
+  # Concurrent slice folds sharing the metrics registry and the randomizer
+  # pool's refill/drain races are the crypto layer's only concurrency.
+  ./build-tsan/tests/pss_test --gtest_filter='FoldConcurrency.*:RandomizerPoolConcurrency.*'
+  # ClusterChaos.Sweep* (50 whole-cluster stories) is deliberately excluded:
+  # it is deterministic single-driver logic and far too slow under TSan.
+  ./build-tsan/tests/cluster_test --gtest_filter='Concurrency.*:RpcPolicy.*:CallPolicyTest.*:ChaosPolicy.*:ChaosTransport.*:Chaos.IdenticalSeedReproducesIdenticalSchedule:ClusterChaos.SingleSeedReplaysCombinedFaultStory:ClusterChaos.SlowReadsDelayLoadsButQueriesStayCorrect:ClusterChaos.RealtimeCrashLosesUnpersistedStopFlushes'
+}
+
+if [[ "${1:-}" == "tsan" ]]; then tsan_stage; exit 0; fi
 
 echo "== static: dpss-lint + dpss-arch (fail fast, pre-build) =="
 python3 scripts/dpss_lint.py --selftest
@@ -121,20 +140,7 @@ cmake --build build-asan -j "$JOBS" >/dev/null
 (cd build-asan && ctest --output-on-failure -j "$JOBS")
 
 echo
-echo "== tsan: obs_test + thread_pool + pss fold + net/cluster subsets under -fsanitize=thread =="
-cmake -B build-tsan -S . -DDPSS_SANITIZE=thread >/dev/null
-cmake --build build-tsan --target obs_test common_test cluster_test net_test pss_test -j "$JOBS" >/dev/null
-# obs_test covers the span ring, trace collector and slow-query log; the
-# http admin tests exercise the admin loop thread against client threads.
-./build-tsan/tests/obs_test
-./build-tsan/tests/net_test --gtest_filter='HttpAdminTest.*'
-./build-tsan/tests/common_test --gtest_filter='ThreadPool.*'
-# The thread-parallel per-segment fold and the randomizer pool's
-# refill/drain races are the crypto layer's only concurrency.
-./build-tsan/tests/pss_test --gtest_filter='FoldConcurrency.*:RandomizerPoolConcurrency.*'
-# ClusterChaos.Sweep* (50 whole-cluster stories) is deliberately excluded:
-# it is deterministic single-driver logic and far too slow under TSan.
-./build-tsan/tests/cluster_test --gtest_filter='Concurrency.*:RpcPolicy.*:CallPolicyTest.*:ChaosPolicy.*:ChaosTransport.*:Chaos.IdenticalSeedReproducesIdenticalSchedule:ClusterChaos.SingleSeedReplaysCombinedFaultStory:ClusterChaos.SlowReadsDelayLoadsButQueriesStayCorrect:ClusterChaos.RealtimeCrashLosesUnpersistedStopFlushes'
+tsan_stage
 
 if command -v clang++ >/dev/null 2>&1; then
   echo

@@ -45,8 +45,7 @@ STRUCTURAL_KEYS = [
     ("encrypt", "generic_us"),
     ("decrypt", "batch_us_per_ct"),
     ("mul_plain", "many_speedup_batch8"),
-    ("fold", "segments_per_s_shards_1"),
-    ("fold", "segments_per_s_shards_4"),
+    ("fold", "segments_per_s"),
     ("session", "docs_per_s_pack1"),
     ("session", "docs_per_s_pack3"),
 ]

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <future>
-#include <set>
-#include <string_view>
 
 #include "cluster/names.h"
 #include "cluster/stats.h"
@@ -250,6 +248,29 @@ void HistoricalNode::refreshDrainState() {
 }
 
 void HistoricalNode::onLoadQueueEvent() {
+  // One drain at a time, and no caller ever blocks on it. The registry
+  // watch and tick() both land here; two concurrent drains would both pass
+  // loadSegment's served_ check and load the same segment twice. A caller
+  // that finds a drain running leaves a request and returns at once — a
+  // watch may fire with the registry's own lock held (net::RemoteRegistry
+  // does), and that drain needs the lock to ack. The drainer re-lists the
+  // queue until no request is left.
+  loadRequested_.store(true);
+  while (!loadDraining_.exchange(true)) {
+    try {
+      while (loadRequested_.exchange(false)) drainLoadQueue();
+    } catch (...) {
+      loadDraining_.store(false);
+      throw;
+    }
+    loadDraining_.store(false);
+    // A request that landed after the last pass but before the flag
+    // cleared was turned away; take it now unless another caller has.
+    if (!loadRequested_.load()) return;
+  }
+}
+
+void HistoricalNode::drainLoadQueue() {
   {
     MutexLock lock(mu_);
     if (!running_) return;
@@ -499,8 +520,7 @@ std::string HistoricalNode::handleRpc(const std::string& request) {
     auto encQuery = pss::EncryptedQuery::deserialize(r);
     const std::size_t blocks = r.varint();
     const std::uint64_t seed = r.u64();
-    const std::size_t pack =
-        std::max<std::size_t>(r.remaining() > 0 ? r.varint() : 1, 1);
+    const std::size_t pack = r.remaining() > 0 ? r.varint() : 1;
 
     DocSlice slice;
     {
@@ -509,59 +529,16 @@ std::string HistoricalNode::handleRpc(const std::string& request) {
       if (it == docSlices_.end()) {
         throw NotFound("no document slice for: " + docSource);
       }
+      if (!running_) throw Unavailable("node stopping: " + name_);
       slice = it->second;
     }
-    std::shared_ptr<ThreadPool> pool;
-    {
-      MutexLock lock(mu_);
-      pool = pool_;  // pin across a concurrent crash()/stop()
-    }
-    if (pool == nullptr) throw Unavailable("node stopping: " + name_);
+    // The slice folds serially on this handler thread, like kPssInfo:
+    // parallelism comes from the slices, one per node.
     const pss::Dictionary dict(words);
     Rng rng(seed);
-    pss::StreamSearcher searcher(dict, std::move(encQuery), blocks, rng);
-    // The per-segment slot fold shards across the node's bounded pool; the
-    // shards own disjoint contiguous slot ranges, so the envelope bytes
-    // match the serial fold exactly.
-    searcher.setFoldOptions({pool.get(), 0});
-    const std::size_t docs = slice.documents.size();
-    try {
-      if (pack <= 1) {
-        for (std::size_t i = 0; i < docs; ++i) {
-          searcher.processSegment(slice.baseIndex + i, slice.documents[i]);
-        }
-      } else {
-        // Packed fold: group g covers slice documents [g·P, (g+1)·P); its
-        // keyword set is the union over members so any member's match
-        // folds the group. Group indices restart at 0 per envelope —
-        // reconstruction is per-envelope, and firstDocIndex anchors the
-        // unpacked document indices back onto the global stream.
-        for (std::size_t i = 0, g = 0; i < docs; i += pack, ++g) {
-          const std::size_t count = std::min(pack, docs - i);
-          std::vector<std::string_view> members;
-          members.reserve(count);
-          std::set<std::string> words;
-          for (std::size_t o = 0; o < count; ++o) {
-            members.push_back(slice.documents[i + o]);
-            for (auto& w : pss::distinctWords(slice.documents[i + o])) {
-              words.insert(std::move(w));
-            }
-          }
-          searcher.processSegment(
-              g, std::vector<std::string>(words.begin(), words.end()),
-              searcher.codec().encode(pss::packPayloads(members), blocks));
-        }
-      }
-    } catch (const std::future_error&) {
-      // A fold shard was abandoned by a dying pool: a node loss upstream.
-      throw Unavailable("node stopped mid-search: " + name_);
-    }
-    auto envelope = searcher.finish();
-    if (pack > 1) {
-      envelope.packFactor = pack;
-      envelope.firstDocIndex = slice.baseIndex;
-      envelope.documentCount = docs;
-    }
+    const pss::SearchResultEnvelope envelope =
+        pss::foldSlice(dict, std::move(encQuery), slice.documents,
+                       slice.baseIndex, pack, blocks, rng);
     ByteWriter w;
     envelope.serialize(w);
     return w.take();

@@ -140,6 +140,7 @@ class HistoricalNode {
   void maybeReregister();
   void refreshDrainState();
   void onLoadQueueEvent();
+  void drainLoadQueue();
   void processAssignment(const std::string& entryName);
   void loadSegment(const storage::SegmentId& id, const std::string& key);
   void dropSegment(const storage::SegmentId& id);
@@ -151,6 +152,11 @@ class HistoricalNode {
   TransportIface& transport_;
   HistoricalNodeOptions options_;
   obs::MetricsRegistry obs_{name_};
+
+  // Load-queue drain hand-off (onLoadQueueEvent): one thread drains while
+  // others only leave a request, so no caller waits on another's drain.
+  std::atomic<bool> loadRequested_{false};
+  std::atomic<bool> loadDraining_{false};
 
   // Lock order: historical mutex before registry mutex — announce /
   // reregister paths call the registry with mu_ held (see broker_node.h

@@ -58,7 +58,7 @@ struct RealtimeNodeOptions {
   // attempt up to the max, measured on the node's clock).
   TimeMs reregisterBackoffMs = 50;
   TimeMs reregisterBackoffMaxMs = 2000;
-  // Standing-subscription host tuning (pending cap, fold sharding).
+  // Standing-subscription host tuning (pending-snapshot cap).
   SubscriptionHostOptions subscriptions;
 };
 

@@ -2,11 +2,11 @@
 //
 //   3.1 decrypt the three buffers with the private key
 //   3.2 Bloom-scan indices i ∈ [firstIndex, firstIndex + t): i is a
-//       candidate when all k slots h_1(i)..h_k(i) are non-zero; on
-//       underflow, pad with arbitrary non-candidate indices ("pick") so
-//       the candidate list has exactly l_F entries
-//   3.3 solve A·c = C' (mod n) where A[r][j] = g(a_r, j); indices with
-//       c = 0 are Bloom false positives; zeros are then replaced by ones
+//       candidate when all k slots h_1(i)..h_k(i) are non-zero
+//   3.3 solve the overdetermined l_F × |candidates| system A·c = C'
+//       (mod n) where A[j][r] = g(a_r, j), instead of padding to a square
+//       system with arbitrary indices ("pick"); indices with c = 0 are
+//       Bloom false positives
 //   4   solve A·diag(c)·f = F' blockwise and decode the payloads
 #pragma once
 

@@ -1,7 +1,7 @@
 #include "pss/searcher.h"
 
 #include <algorithm>
-#include <future>
+#include <set>
 
 #include "common/error.h"
 #include "obs/metrics.h"
@@ -104,33 +104,7 @@ void StreamSearcher::processSegment(
   // window table over E(c_i).
   const std::uint64_t foldStart = obs::nowNanos();
   const std::vector<crypto::Ciphertext> ecf = pub.mulPlainMany(ec, blocks);
-  const std::size_t lF = buffers_.bufferLength();
-  std::size_t shards = 1;
-  if (fold_.pool != nullptr) {
-    shards = fold_.shards != 0 ? fold_.shards : fold_.pool->threadCount();
-    shards = std::min(shards, lF);
-  }
-  std::uint64_t folds = 0;
-  if (shards <= 1) {
-    folds = buffers_.foldSlotRange(pub, prf_, index, ec, ecf, 0, lF);
-  } else {
-    // Contiguous disjoint ranges: shard k owns [k·⌈l_F/shards⌉, …). Each
-    // worker re-scopes this node's registry so fold metrics land where the
-    // serial path records them.
-    const std::size_t per = (lF + shards - 1) / shards;
-    std::vector<std::future<std::uint64_t>> parts;
-    parts.reserve(shards);
-    for (std::size_t k = 0; k < shards; ++k) {
-      const std::size_t lo = std::min(k * per, lF);
-      const std::size_t hi = std::min(lo + per, lF);
-      parts.push_back(fold_.pool->submit([this, &reg, &pub, &ec, &ecf, index,
-                                          lo, hi] {
-        obs::ScopedRegistry scope(reg);
-        return buffers_.foldSlotRange(pub, prf_, index, ec, ecf, lo, hi);
-      }));
-    }
-    for (auto& part : parts) folds += part.get();
-  }
+  std::uint64_t folds = buffers_.foldSegment(pub, prf_, index, ec, ecf);
 
   // Step 2.4: Bloom update of the matching-indices buffer.
   for (const auto slot : bloom_.slots(index)) {
@@ -177,6 +151,62 @@ SearchResultEnvelope StreamSearcher::finish() {
                                    query_.params().indexBufferLength);
   processed_ = 0;
   firstIndex_ = 0;
+  return env;
+}
+
+std::size_t blocksNeeded(const std::vector<std::string>& payloads,
+                         std::size_t modulusBits) {
+  const BlockCodec codec(BlockCodec::maxBlockBytesFor(modulusBits));
+  std::size_t blocks = 1;
+  for (const auto& p : payloads) {
+    blocks = std::max(blocks, codec.blockCount(p.size()));
+  }
+  return blocks;
+}
+
+SearchResultEnvelope foldSlice(const Dictionary& dict, EncryptedQuery query,
+                               const std::vector<std::string>& documents,
+                               std::uint64_t baseIndex, std::size_t packFactor,
+                               std::size_t blocksPerSegment, Rng& rng) {
+  const std::size_t pack = std::max<std::size_t>(packFactor, 1);
+  std::vector<std::string> groups;
+  std::vector<std::vector<std::string>> groupWords;
+  if (pack > 1) {
+    for (std::size_t i = 0; i < documents.size(); i += pack) {
+      const std::size_t count = std::min(pack, documents.size() - i);
+      std::vector<std::string_view> members;
+      members.reserve(count);
+      std::set<std::string> words;
+      for (std::size_t o = 0; o < count; ++o) {
+        members.push_back(documents[i + o]);
+        for (auto& w : distinctWords(documents[i + o])) {
+          words.insert(std::move(w));
+        }
+      }
+      groups.push_back(packPayloads(members));
+      groupWords.emplace_back(words.begin(), words.end());
+    }
+  }
+  if (blocksPerSegment == 0) {
+    blocksPerSegment = blocksNeeded(pack > 1 ? groups : documents,
+                                    query.publicKey().modulusBits());
+  }
+  StreamSearcher searcher(dict, std::move(query), blocksPerSegment, rng);
+  if (pack > 1) {
+    for (std::size_t g = 0; g < groups.size(); ++g) {
+      searcher.processSegment(
+          g, groupWords[g],
+          searcher.codec().encode(groups[g], blocksPerSegment));
+    }
+  } else {
+    for (std::size_t i = 0; i < documents.size(); ++i) {
+      searcher.processSegment(baseIndex + i, documents[i]);
+    }
+  }
+  SearchResultEnvelope env = searcher.finish();
+  env.packFactor = pack;
+  env.firstDocIndex = baseIndex;
+  env.documentCount = documents.size();
   return env;
 }
 

@@ -18,7 +18,6 @@
 
 #include "common/bytes.h"
 #include "common/rng.h"
-#include "common/thread_pool.h"
 #include "crypto/paillier.h"
 #include "crypto/prf.h"
 #include "pss/blocking.h"
@@ -56,17 +55,6 @@ struct SearchResultEnvelope {
   static SearchResultEnvelope deserialize(ByteReader& r);
 };
 
-/// How a StreamSearcher folds each segment into the buffer slots.
-struct FoldOptions {
-  /// Pool to shard the per-segment slot fold across. nullptr (the default)
-  /// keeps the fold serial on the calling thread.
-  ThreadPool* pool = nullptr;
-  /// Number of contiguous slot ranges to split [0, l_F) into; 0 means one
-  /// per pool thread. Shards own disjoint slots, so the folded buffers are
-  /// byte-identical to the serial fold for every shard count.
-  std::size_t shards = 0;
-};
-
 class StreamSearcher {
  public:
   /// `blocksPerSegment` fixes s for the whole batch (every payload must
@@ -85,11 +73,6 @@ class StreamSearcher {
   void processSegment(std::uint64_t index,
                       const std::vector<std::string>& words,
                       const std::vector<crypto::Bigint>& blocks);
-
-  /// Opts the per-segment fold into thread-parallel sharding. Safe to call
-  /// between segments; the Bloom fold (k colliding slots) stays serial.
-  void setFoldOptions(const FoldOptions& opts) { fold_ = opts; }
-  const FoldOptions& foldOptions() const { return fold_; }
 
   /// Appends `count` empty segments to the batch without folding. An empty
   /// segment's contribution is the multiplicative identity everywhere
@@ -122,9 +105,27 @@ class StreamSearcher {
   SearchBuffers buffers_;
   crypto::BitPrf prf_;
   crypto::BloomHashFamily bloom_;
-  FoldOptions fold_;
   std::uint64_t firstIndex_ = 0;
   std::uint64_t processed_ = 0;
 };
+
+/// Smallest s such that every payload encodes into s blocks under a
+/// modulus of `modulusBits` bits.
+std::size_t blocksNeeded(const std::vector<std::string>& payloads,
+                         std::size_t modulusBits);
+
+/// Folds one contiguous slice of the document stream into one envelope;
+/// `documents[i]` has stream index `baseIndex + i`. This is the single
+/// serial fold behind both the in-process session and a historical node's
+/// slice search. With packFactor P > 1, group g packs documents
+/// [g·P, min((g+1)·P, N)) (pss::packPayloads) under the union of their
+/// keywords, so any member's match folds the group; group indices restart
+/// at 0 per envelope and firstDocIndex anchors the unpacked documents back
+/// onto the stream. `blocksPerSegment` = 0 sizes s from the slice's
+/// segments (its groups when packed).
+SearchResultEnvelope foldSlice(const Dictionary& dict, EncryptedQuery query,
+                               const std::vector<std::string>& documents,
+                               std::uint64_t baseIndex, std::size_t packFactor,
+                               std::size_t blocksPerSegment, Rng& rng);
 
 }  // namespace dpss::pss

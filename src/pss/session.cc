@@ -1,7 +1,5 @@
 #include "pss/session.h"
 
-#include <algorithm>
-
 #include "common/error.h"
 #include "common/logging.h"
 
@@ -54,16 +52,6 @@ std::vector<RecoveredSegment> PrivateSearchClient::openDocuments(
   return docs;
 }
 
-std::size_t blocksNeeded(const std::vector<std::string>& payloads,
-                         std::size_t modulusBits) {
-  const BlockCodec codec(BlockCodec::maxBlockBytesFor(modulusBits));
-  std::size_t blocks = 1;
-  for (const auto& p : payloads) {
-    blocks = std::max(blocks, codec.blockCount(p.size()));
-  }
-  return blocks;
-}
-
 std::vector<RecoveredSegment> runThresholdSearch(
     PrivateSearchClient& client, const std::set<std::string>& keywords,
     std::uint64_t threshold, const std::vector<std::string>& payloads,
@@ -83,43 +71,11 @@ std::vector<RecoveredSegment> runPrivateSearchPacked(
     PrivateSearchClient& client, const std::set<std::string>& keywords,
     const std::vector<std::string>& payloads, std::size_t packFactor,
     std::size_t blocksPerSegment, Rng& brokerRng, int maxRetries) {
-  if (packFactor <= 1) {
-    return runPrivateSearch(client, keywords, payloads, blocksPerSegment,
-                            brokerRng, maxRetries);
-  }
-  // Group the stream: pack i covers documents [i·P, min((i+1)·P, N)).
-  // Its keyword set is the union over members, so a pack folds whenever
-  // any member matches.
-  std::vector<std::string> packed;
-  std::vector<std::vector<std::string>> packedWords;
-  for (std::size_t i = 0; i < payloads.size(); i += packFactor) {
-    const std::size_t count = std::min(packFactor, payloads.size() - i);
-    std::vector<std::string_view> members;
-    members.reserve(count);
-    std::set<std::string> words;
-    for (std::size_t o = 0; o < count; ++o) {
-      members.push_back(payloads[i + o]);
-      for (auto& w : distinctWords(payloads[i + o])) words.insert(std::move(w));
-    }
-    packed.push_back(packPayloads(members));
-    packedWords.emplace_back(words.begin(), words.end());
-  }
-  if (blocksPerSegment == 0) {
-    blocksPerSegment = blocksNeeded(packed, client.publicKey().modulusBits());
-  }
   const EncryptedQuery query = client.makeQuery(keywords);
   for (int attempt = 0;; ++attempt) {
-    StreamSearcher searcher(client.dictionary(), query, blocksPerSegment,
-                            brokerRng);
-    for (std::size_t g = 0; g < packed.size(); ++g) {
-      searcher.processSegment(
-          g, packedWords[g],
-          searcher.codec().encode(packed[g], blocksPerSegment));
-    }
-    SearchResultEnvelope env = searcher.finish();
-    env.packFactor = packFactor;
-    env.firstDocIndex = 0;
-    env.documentCount = payloads.size();
+    const SearchResultEnvelope env =
+        foldSlice(client.dictionary(), query, payloads, /*baseIndex=*/0,
+                  packFactor, blocksPerSegment, brokerRng);
     try {
       return client.openDocuments(env, keywords);
     } catch (const CryptoError& e) {
@@ -134,26 +90,8 @@ std::vector<RecoveredSegment> runPrivateSearch(
     PrivateSearchClient& client, const std::set<std::string>& keywords,
     const std::vector<std::string>& payloads, std::size_t blocksPerSegment,
     Rng& brokerRng, int maxRetries) {
-  if (blocksPerSegment == 0) {
-    blocksPerSegment =
-        blocksNeeded(payloads, client.publicKey().modulusBits());
-  }
-  const EncryptedQuery query = client.makeQuery(keywords);
-  for (int attempt = 0;; ++attempt) {
-    StreamSearcher searcher(client.dictionary(), query, blocksPerSegment,
-                            brokerRng);
-    for (std::size_t i = 0; i < payloads.size(); ++i) {
-      searcher.processSegment(i, payloads[i]);
-    }
-    const SearchResultEnvelope env = searcher.finish();
-    try {
-      return client.open(env);
-    } catch (const CryptoError& e) {
-      if (attempt >= maxRetries) throw;
-      DPSS_LOG(Warn) << "singular reconstruction matrix, retrying batch ("
-                     << e.what() << ")";
-    }
-  }
+  return runPrivateSearchPacked(client, keywords, payloads, /*packFactor=*/1,
+                                blocksPerSegment, brokerRng, maxRetries);
 }
 
 }  // namespace dpss::pss

@@ -77,18 +77,14 @@ std::vector<RecoveredSegment> runPrivateSearch(
 /// the broker folds and the client decrypts ~packFactor× fewer
 /// ciphertexts per document. The group's keyword set is the union over
 /// its members; the client unpacks and recomputes per-document c-values.
-/// packFactor <= 1 is exactly runPrivateSearch. Note the buffer-sizing
+/// packFactor <= 1 is exactly runPrivateSearch. Both fold through
+/// pss::foldSlice and share this one retry loop. Note the buffer-sizing
 /// constraint applies to *groups*: ⌈payloads/packFactor⌉ must still
 /// exceed l_F.
 std::vector<RecoveredSegment> runPrivateSearchPacked(
     PrivateSearchClient& client, const std::set<std::string>& keywords,
     const std::vector<std::string>& payloads, std::size_t packFactor,
     std::size_t blocksPerSegment, Rng& brokerRng, int maxRetries = 3);
-
-/// Smallest s such that every payload encodes into s blocks under a
-/// modulus of `modulusBits` bits.
-std::size_t blocksNeeded(const std::vector<std::string>& payloads,
-                         std::size_t modulusBits);
 
 /// (t, n)-threshold searching (the extension of Yi & Xing the paper's
 /// related work describes): return only documents matching at least

@@ -65,13 +65,14 @@ void accumulate(const BoundAgg& agg, std::size_t row, PartialAgg& out) {
 }
 
 /// Node-side topN truncation: for ORDER BY ... LIMIT queries a compute
-/// node only ships its local top groups (with generous overfetch), the
-/// standard Druid-style approximation that keeps the broker merge O(limit)
-/// instead of O(distinct groups) — without it, grouped queries stop
-/// scaling with nodes (the merge becomes the Amdahl term). Overfetch of
-/// 4x the limit makes disagreement between local and global top sets
-/// rare in practice; exact results are available by running with
-/// limit = 0 and limiting client-side.
+/// node only ships its local top 4x-limit groups, the Druid-style
+/// approximation that keeps the broker merge O(limit) instead of
+/// O(distinct groups) — without it, grouped queries stop scaling with
+/// nodes (the merge becomes the Amdahl term). The answer is approximate:
+/// a group outside some segment's local top set loses that segment's
+/// count, so the merged top set can under-count or miss groups. Over 16
+/// segments of 10k ad-tech rows it differs from the exact group-by on
+/// most seeds. Exact results need limit = 0 and limiting client-side.
 void truncateForTopN(const QuerySpec& spec, QueryResult& result) {
   if (spec.limit == 0 || spec.orderBy.empty()) return;
   const std::size_t keep = spec.limit * 4;

@@ -6,11 +6,18 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <cstdio>
+#include <cstdlib>
+#include <future>
+#include <mutex>
 #include <thread>
 
 #include "cluster/cluster.h"
+#include "cluster/names.h"
 #include "common/error.h"
 #include "storage/adtech.h"
+#include "storage/segment_codec.h"
 
 namespace dpss::cluster {
 namespace {
@@ -219,6 +226,205 @@ TEST(Concurrency, IngestionRacingQueries) {
   cluster.realtime(0).tick();
   const auto outcome = cluster.broker().query(spec);
   EXPECT_DOUBLE_EQ(outcome.rows[0].values[0], 2000.0);
+}
+
+TEST(Concurrency, TickRacingLoadWatchLoadsEachSegmentOnce) {
+  // A node drains its load queue from the registry watch and from tick();
+  // the drains are serialized, so a tick racing the watch-driven load
+  // never downloads a segment a second time.
+  ManualClock clock(1'400'000'000'000);
+  ClusterOptions options;
+  options.historicalNodes = 2;
+  // Placement only: a rebalancing move is a legitimate second download.
+  options.coordinator.maxMovesPerCycle = 0;
+  Cluster cluster(clock, options);
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> tickers;
+  for (std::size_t i = 0; i < cluster.historicalCount(); ++i) {
+    tickers.emplace_back([&cluster, &stop, i] {
+      while (!stop.load()) cluster.historical(i).tick();
+    });
+  }
+  AdTechConfig config;
+  config.rowsPerSegment = 2000;
+  cluster.publishSegments(generateAdTechSegments(config, "ads", 16));
+  auto served = [&cluster] {
+    std::size_t n = 0;
+    for (std::size_t i = 0; i < cluster.historicalCount(); ++i) {
+      n += cluster.historical(i).servedSegments().size();
+    }
+    return n;
+  };
+  auto pending = [&cluster] {
+    std::size_t n = 0;
+    for (std::size_t i = 0; i < cluster.historicalCount(); ++i) {
+      n += cluster.historical(i).pendingLoads();
+    }
+    return n;
+  };
+  // A watch that finds a tick draining leaves the load to it, so a
+  // coordinator round can end with loads still in flight: run one round
+  // at a time and let the tickers empty the queues before the next.
+  for (int round = 0; round < 100 && served() < 16; ++round) {
+    cluster.converge(/*maxCycles=*/1);
+    while (pending() > 0) std::this_thread::yield();
+  }
+  stop.store(true);
+  for (auto& t : tickers) t.join();
+
+  std::uint64_t downloads = 0;
+  for (std::size_t i = 0; i < cluster.historicalCount(); ++i) {
+    const HistoricalNode& node = cluster.historical(i);
+    std::uint64_t cached = 0;
+    for (const auto& key : cluster.deepStorage().list()) {
+      cached += node.cachedLocally(key) ? 1 : 0;
+    }
+    // One download per distinct blob on each node: no double load.
+    EXPECT_EQ(node.deepStorageDownloads(), cached) << node.name();
+    downloads += node.deepStorageDownloads();
+  }
+  EXPECT_EQ(served(), 16u);
+  EXPECT_EQ(downloads, 16u);
+}
+
+// A registry whose mutations fire watches with a lock of its own held, as
+// net::RemoteRegistry's sync loop does (its recursive syncMu_ spans the
+// base-class create/remove that fires the watch).
+class LockingRegistry final : public Registry {
+ public:
+  void create(const std::string& path, const std::string& data,
+              const SessionPtr& session, bool ephemeral) override {
+    std::lock_guard<std::recursive_mutex> sync(syncMu_);
+    locks_.fetch_add(1);
+    Registry::create(path, data, session, ephemeral);
+  }
+  void setData(const std::string& path, const std::string& data) override {
+    std::lock_guard<std::recursive_mutex> sync(syncMu_);
+    Registry::setData(path, data);
+  }
+  void remove(const std::string& path) override {
+    std::lock_guard<std::recursive_mutex> sync(syncMu_);
+    Registry::remove(path);
+  }
+  // Enqueues without the lock, for the node-side drain to hold the stage.
+  void createUnlocked(const std::string& path, const std::string& data,
+                      const SessionPtr& session) {
+    Registry::create(path, data, session, /*ephemeral=*/false);
+  }
+  int locks() const { return locks_.load(); }
+
+ private:
+  std::recursive_mutex syncMu_;
+  std::atomic<int> locks_{0};
+};
+
+// Parks the first get() of one key until released, so a test can hold a
+// load-queue drain mid-download.
+class GatedDeepStorage final : public storage::DeepStorage {
+ public:
+  void put(const std::string& key, const std::string& bytes) override {
+    inner_.put(key, bytes);
+  }
+  std::string get(const std::string& key) override {
+    {
+      std::unique_lock<std::mutex> lock(mu_);
+      if (key == gatedKey_ && !entered_) {
+        entered_ = true;
+        cv_.notify_all();
+        cv_.wait(lock, [this] { return released_; });
+      }
+    }
+    return inner_.get(key);
+  }
+  bool exists(const std::string& key) override { return inner_.exists(key); }
+  void remove(const std::string& key) override { inner_.remove(key); }
+  std::vector<std::string> list() override { return inner_.list(); }
+  std::optional<std::uint64_t> storedChecksum(const std::string& key) override {
+    return inner_.storedChecksum(key);
+  }
+  bool verify(const std::string& key) override { return inner_.verify(key); }
+
+  void gate(const std::string& key) {
+    std::lock_guard<std::mutex> lock(mu_);
+    gatedKey_ = key;
+  }
+  void awaitEntered() {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [this] { return entered_; });
+  }
+  void release() {
+    std::lock_guard<std::mutex> lock(mu_);
+    released_ = true;
+    cv_.notify_all();
+  }
+
+ private:
+  storage::MemoryDeepStorage inner_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  std::string gatedKey_;
+  bool entered_ = false;
+  bool released_ = false;
+};
+
+TEST(Concurrency, LoadWatchUnderRegistryLockNeverWaitsOnADrain) {
+  // One thread drains the load queue and is mid-download of segment X;
+  // meanwhile a registry mutation enqueues Y and fires the queue watch
+  // with the registry's lock held. The drain then needs that lock to
+  // publish X. A watch that waited for the drain would deadlock both.
+  ManualClock clock(1'400'000'000'000);
+  LockingRegistry registry;
+  GatedDeepStorage deep;
+  Transport transport(clock);
+  HistoricalNodeOptions options;
+  options.workerThreads = 1;
+  HistoricalNode node("historical-0", registry, deep, transport, options);
+  node.start();
+
+  AdTechConfig config;
+  config.rowsPerSegment = 50;
+  const auto segments = generateAdTechSegments(config, "ads", 2);
+  std::vector<std::string> keys;
+  for (const auto& seg : segments) {
+    keys.push_back("blob/" + seg->id().toString());
+    deep.put(keys.back(), storage::encodeSegment(*seg));
+  }
+  deep.gate(keys[0]);
+  const SessionPtr coordinator = registry.connect("coordinator");
+  auto entry = [&](std::size_t i) {
+    return paths::loadEntryData(segments[i]->id(), keys[i], 1);
+  };
+
+  auto drainer = std::async(std::launch::async, [&] {
+    registry.createUnlocked(
+        paths::loadQueueEntry(node.name(), segments[0]->id()), entry(0),
+        coordinator);
+  });
+  deep.awaitEntered();
+  const int locksBefore = registry.locks();
+  auto watcher = std::async(std::launch::async, [&] {
+    registry.create(paths::loadQueueEntry(node.name(), segments[1]->id()),
+                    entry(1), coordinator, /*ephemeral=*/false);
+  });
+  // Release the download only once the watcher holds the registry lock.
+  while (registry.locks() == locksBefore) std::this_thread::yield();
+  deep.release();
+
+  const auto deadline = std::chrono::seconds(20);
+  if (drainer.wait_for(deadline) != std::future_status::ready ||
+      watcher.wait_for(deadline) != std::future_status::ready) {
+    // Deadlocked threads cannot be joined; fail loudly instead of hanging.
+    std::fprintf(stderr, "load-queue drain deadlocked with the watch\n");
+    std::abort();
+  }
+  drainer.get();
+  watcher.get();
+  node.tick();
+  EXPECT_TRUE(node.serves(segments[0]->id()));
+  EXPECT_TRUE(node.serves(segments[1]->id()));
+  EXPECT_EQ(node.deepStorageDownloads(), 2u);
+  EXPECT_EQ(node.pendingLoads(), 0u);
+  node.stop();
 }
 
 }  // namespace

@@ -1,18 +1,16 @@
-// Concurrency tests for the thread-parallel per-segment fold and the
-// randomizer pool — the TSan subset runs these (scripts/check.sh). The
-// load-bearing property: fold shards own disjoint contiguous slot
-// ranges, so the folded buffers are byte-identical to the serial fold
-// for every pool size and shard count.
+// Concurrency and equivalence tests for the serial slice fold and the
+// randomizer pool — the TSan subset runs these (scripts/check.sh tsan).
+// Every slice folds through one serial function (pss::foldSlice); the
+// only concurrency is independent searchers folding at once, which share
+// the process-wide metrics registry.
 #include <gtest/gtest.h>
 
-#include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/bytes.h"
 #include "common/rng.h"
-#include "common/thread_pool.h"
 #include "crypto/randomizer_pool.h"
 #include "pss/dictionary.h"
 #include "pss/query.h"
@@ -41,15 +39,13 @@ std::string envelopeBytes(const SearchResultEnvelope& env) {
   return w.take();
 }
 
-// Runs one batch over the stream with the given fold options; everything
-// else (key, query, broker rng) is pinned so envelopes are comparable.
-// Takes the query by value-copy from a shared const original: makeQuery
-// consumes client randomness, so callers build it exactly once.
-std::string runBatch(const Dictionary& dict, const EncryptedQuery& query,
-                     const FoldOptions& fold) {
+// Runs one batch over the stream; everything (key, query, broker rng) is
+// pinned so envelopes are comparable. Takes the query by value-copy from
+// a shared const original: makeQuery consumes client randomness, so
+// callers build it exactly once.
+std::string runBatch(const Dictionary& dict, const EncryptedQuery& query) {
   Rng brokerRng(4242);
   StreamSearcher searcher(dict, query, /*blocks=*/3, brokerRng);
-  searcher.setFoldOptions(fold);
   const auto stream = makeStream(40);
   for (std::size_t i = 0; i < stream.size(); ++i) {
     searcher.processSegment(i, stream[i]);
@@ -57,99 +53,65 @@ std::string runBatch(const Dictionary& dict, const EncryptedQuery& query,
   return envelopeBytes(searcher.finish());
 }
 
-TEST(FoldConcurrency, ShardedFoldIsByteIdenticalToSerial) {
-  const Dictionary dict(kDict);
-  const SearchParams params{
-      .bufferLength = 12, .indexBufferLength = 128, .bloomHashes = 3};
-  PrivateSearchClient client(dict, params, 128, /*seed=*/77);
-  const EncryptedQuery query = client.makeQuery({"breach"});
-
-  const std::string serial = runBatch(dict, query, FoldOptions{});
-  ThreadPool pool(4);
-  for (const std::size_t shards : {0u, 1u, 2u, 3u, 5u, 8u, 64u}) {
-    const std::string sharded =
-        runBatch(dict, query, FoldOptions{&pool, shards});
-    EXPECT_EQ(sharded, serial) << "shards=" << shards;
-  }
-}
-
-TEST(FoldConcurrency, ConcurrentSearchersSharingOnePool) {
-  // Two searchers folding through the same pool concurrently — the
-  // historical node under overlapping kPssSearch RPCs. Each must still
-  // produce its own serial-identical envelope.
+TEST(FoldConcurrency, ConcurrentSearchersFoldIndependently) {
+  // Four searchers folding at once — a historical node answering
+  // overlapping kPssSearch RPCs, one handler thread each. They share only
+  // the metrics registry; each must produce the envelope it would alone.
   const Dictionary dict(kDict);
   const SearchParams params{
       .bufferLength = 8, .indexBufferLength = 96, .bloomHashes = 3};
   PrivateSearchClient client(dict, params, 128, /*seed=*/99);
   const EncryptedQuery query = client.makeQuery({"breach"});
-  const std::string serial = runBatch(dict, query, FoldOptions{});
+  const std::string alone = runBatch(dict, query);
 
-  ThreadPool pool(4);
   std::vector<std::string> got(4);
   {
     std::vector<std::thread> drivers;
     for (std::size_t t = 0; t < got.size(); ++t) {
-      drivers.emplace_back(
-          [&, t] { got[t] = runBatch(dict, query, {&pool, 3}); });
+      drivers.emplace_back([&, t] { got[t] = runBatch(dict, query); });
     }
     for (auto& d : drivers) d.join();
   }
   for (std::size_t t = 0; t < got.size(); ++t) {
-    EXPECT_EQ(got[t], serial) << "driver " << t;
+    EXPECT_EQ(got[t], alone) << "driver " << t;
   }
 }
 
-TEST(FoldConcurrency, PackedSearchUnderShardedFold) {
-  // Packing and fold sharding compose: a packed batch folded through a
-  // pool must open to the same documents as the serial session API.
+TEST(FoldConcurrency, SliceFoldAtBaseOpensLikeSession) {
+  // A slice at stream offset 1000 — what a historical node holding the
+  // second slice folds — opens to the session's documents with every
+  // index shifted by the base, unpacked and packed alike.
   const Dictionary dict(kDict);
   // 36 docs packed at 2 = 18 groups; every i%5==2 doc matches, and those
-  // land in 7 distinct groups, so l_F must exceed 7.
+  // land in 7 distinct groups (7 documents unpacked), so l_F must exceed 7.
   const SearchParams params{
       .bufferLength = 10, .indexBufferLength = 96, .bloomHashes = 3};
   const auto stream = makeStream(36);
+  constexpr std::uint64_t kBase = 1000;
 
-  PrivateSearchClient client(dict, params, 128, /*seed=*/31);
-  Rng serialRng(111);
-  const auto want = runPrivateSearchPacked(client, {"breach"}, stream,
-                                           /*packFactor=*/2, 0, serialRng);
-  ASSERT_FALSE(want.empty());
+  for (const std::size_t pack : {std::size_t{1}, std::size_t{2}}) {
+    PrivateSearchClient client(dict, params, 128, /*seed=*/31);
+    Rng sessionRng(111);
+    const auto want = runPrivateSearchPacked(client, {"breach"}, stream, pack,
+                                             0, sessionRng);
+    ASSERT_EQ(want.size(), 7u) << "pack=" << pack;
 
-  PrivateSearchClient client2(dict, params, 128, /*seed=*/31);
-  const EncryptedQuery query = client2.makeQuery({"breach"});
-  Rng brokerRng(111);
-  const std::size_t blocks = blocksNeeded(
-      [&] {
-        std::vector<std::string> packs;
-        for (std::size_t i = 0; i < stream.size(); i += 2) {
-          packs.push_back(packPayloads({stream[i], stream[i + 1]}));
-        }
-        return packs;
-      }(),
-      client2.publicKey().modulusBits());
-  StreamSearcher searcher(dict, query, blocks, brokerRng);
-  ThreadPool pool(3);
-  searcher.setFoldOptions({&pool, 0});
-  for (std::size_t i = 0, g = 0; i < stream.size(); i += 2, ++g) {
-    std::set<std::string> words;
-    for (auto& w : distinctWords(stream[i])) words.insert(w);
-    for (auto& w : distinctWords(stream[i + 1])) words.insert(w);
-    searcher.processSegment(
-        g, std::vector<std::string>(words.begin(), words.end()),
-        searcher.codec().encode(packPayloads({stream[i], stream[i + 1]}),
-                                blocks));
-  }
-  SearchResultEnvelope env = searcher.finish();
-  env.packFactor = 2;
-  env.firstDocIndex = 0;
-  env.documentCount = stream.size();
-  const auto got = client2.openDocuments(env, {"breach"});
+    PrivateSearchClient client2(dict, params, 128, /*seed=*/31);
+    Rng sliceRng(111);
+    const SearchResultEnvelope env =
+        foldSlice(dict, client2.makeQuery({"breach"}), stream, kBase, pack,
+                  /*blocksPerSegment=*/0, sliceRng);
+    EXPECT_EQ(env.packFactor, pack);
+    EXPECT_EQ(env.firstDocIndex, kBase);
+    EXPECT_EQ(env.documentCount, stream.size());
+    const auto got = client2.openDocuments(env, {"breach"});
 
-  ASSERT_EQ(got.size(), want.size());
-  for (std::size_t i = 0; i < got.size(); ++i) {
-    EXPECT_EQ(got[i].index, want[i].index);
-    EXPECT_EQ(got[i].cValue, want[i].cValue);
-    EXPECT_EQ(got[i].payload, want[i].payload);
+    ASSERT_EQ(got.size(), want.size()) << "pack=" << pack;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].index, want[i].index + kBase);
+      EXPECT_EQ(got[i].cValue, want[i].cValue);
+      EXPECT_EQ(got[i].payload, want[i].payload);
+    }
   }
 }
 
