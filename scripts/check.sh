@@ -18,7 +18,9 @@
 # clang++ is on PATH we run it here too.
 #
 # Run from the repo root. Set DPSS_CHECK_SKIP_SANITIZERS=1 for a quick
-# tier-1+lint pass; `scripts/check.sh tsan` runs stage 4 alone (CI does).
+# tier-1+lint pass; `scripts/check.sh tsan` runs stage 4 alone and
+# `scripts/check.sh admin-smoke` the admin-plane smoke against an existing
+# build/ (CI runs both that way).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -41,32 +43,9 @@ tsan_stage() {
   ./build-tsan/tests/cluster_test --gtest_filter='Concurrency.*:RpcPolicy.*:CallPolicyTest.*:ChaosPolicy.*:ChaosTransport.*:Chaos.IdenticalSeedReproducesIdenticalSchedule:ClusterChaos.SingleSeedReplaysCombinedFaultStory:ClusterChaos.SlowReadsDelayLoadsButQueriesStayCorrect:ClusterChaos.RealtimeCrashLosesUnpersistedStopFlushes'
 }
 
-if [[ "${1:-}" == "tsan" ]]; then tsan_stage; exit 0; fi
-
-echo "== static: dpss-lint + dpss-arch (fail fast, pre-build) =="
-python3 scripts/dpss_lint.py --selftest
-python3 scripts/dpss_lint.py --check-fixtures tests/lint_fixtures
-python3 scripts/dpss_lint.py
-python3 scripts/dpss_arch.py --selftest
-python3 scripts/dpss_arch.py --no-compile-commands
-
-echo
-echo "== tier-1: full build (DPSS_WERROR=ON) + ctest =="
-cmake -B build -S . -DDPSS_WERROR=ON >/dev/null
-cmake --build build -j "$JOBS" >/dev/null
-(cd build && ctest --output-on-failure -j "$JOBS")
-
-echo
-echo "== multi-process: loopback cluster + elastic join->drain + leader-kill failover =="
-# MultiprocessClusterTest includes ElasticScaleOutAndDrainUnderLoad
-# (runtime 2->8->2 scale under continuous query/PSS load) and
-# CoordinatorFailoverOnLeaderKill (SIGKILL the leader mid-drain) — the
-# membership smoke this gate requires.
-./build/tests/net_test --gtest_filter='MultiprocessClusterTest.*'
-
-echo
-echo "== admin smoke: boot a node, scrape /healthz and /metrics =="
-python3 - build/src/net/dpss_node <<'PY'
+admin_smoke_stage() {
+  echo "== admin smoke: boot a node, scrape /healthz and /metrics, SIGTERM exits 0 =="
+  python3 - build/src/net/dpss_node <<'PY'
 import socket, subprocess, sys, time, urllib.request
 
 node_bin = sys.argv[1]
@@ -105,11 +84,41 @@ try:
     for needle in ("# TYPE", "dpss_rpc_attempts", "dpss_net_server_accepts"):
         if needle not in text:
             sys.exit(f"/metrics is missing {needle!r}")
-    print(f"admin smoke OK: /healthz + /metrics on 127.0.0.1:{admin_port}")
 finally:
     proc.terminate()
-    proc.wait(timeout=10)
+    status = proc.wait(timeout=10)
+if status != 0:
+    sys.exit(f"node exited with status {status} after SIGTERM")
+print(f"admin smoke OK: /healthz + /metrics on 127.0.0.1:{admin_port}, exit 0")
 PY
+}
+
+if [[ "${1:-}" == "tsan" ]]; then tsan_stage; exit 0; fi
+if [[ "${1:-}" == "admin-smoke" ]]; then admin_smoke_stage; exit 0; fi
+
+echo "== static: dpss-lint + dpss-arch (fail fast, pre-build) =="
+python3 scripts/dpss_lint.py --selftest
+python3 scripts/dpss_lint.py --check-fixtures tests/lint_fixtures
+python3 scripts/dpss_lint.py
+python3 scripts/dpss_arch.py --selftest
+python3 scripts/dpss_arch.py --no-compile-commands
+
+echo
+echo "== tier-1: full build (DPSS_WERROR=ON) + ctest =="
+cmake -B build -S . -DDPSS_WERROR=ON >/dev/null
+cmake --build build -j "$JOBS" >/dev/null
+(cd build && ctest --output-on-failure -j "$JOBS")
+
+echo
+echo "== multi-process: loopback cluster + elastic join->drain + leader-kill failover =="
+# MultiprocessClusterTest includes ElasticScaleOutAndDrainUnderLoad
+# (runtime 2->8->2 scale under continuous query/PSS load) and
+# CoordinatorFailoverOnLeaderKill (SIGKILL the leader mid-drain) — the
+# membership smoke this gate requires.
+./build/tests/net_test --gtest_filter='MultiprocessClusterTest.*'
+
+echo
+admin_smoke_stage
 
 echo
 echo "== bench smoke: pss hot-path speedup ratios vs BENCH_pss.json =="

@@ -116,7 +116,13 @@ void HistoricalNode::stop() {
   // A finished drain deregisters fully: the flag served its purpose. An
   // unfinished one stays, so a restart resumes draining where it left off.
   if (drainComplete_.load(std::memory_order_acquire)) {
-    registry_.remove(paths::drainFlag(name_));
+    try {
+      registry_.remove(paths::drainFlag(name_));
+    } catch (const Error& e) {
+      // stop() also runs from the destructor, where a throw would end the
+      // process; a flag left behind only makes a restart resume draining.
+      DPSS_LOG(Warn) << name_ << " kept its drain flag: " << e.what();
+    }
     draining_.store(false, std::memory_order_release);
     drainComplete_.store(false, std::memory_order_release);
   }

@@ -1,12 +1,14 @@
 #include "cluster/subscription_broker.h"
 
 #include <algorithm>
+#include <functional>
 #include <utility>
 
 #include "cluster/names.h"
 #include "cluster/subscription_rpc.h"
 #include "common/bytes.h"
 #include "common/error.h"
+#include "common/logging.h"
 #include "obs/metrics.h"
 
 namespace dpss::cluster {
@@ -118,36 +120,53 @@ std::size_t SubscriptionBroker::reconcile() {
   // nodes, unsubscribe repairs nodes that missed a removal.
   const auto records = metaStore_.subscriptions();
   std::size_t pushes = 0;
+  // Every call to a node stands alone: an unreachable node, or one that
+  // rejects a record, skips that call until the next round and the rest
+  // of the round goes on. A rejection is logged once until it succeeds.
+  const auto attempt = [&](const std::string& node, pss::SubscriptionId id,
+                           const std::function<void()>& call) {
+    try {
+      call();
+      MutexLock lock(mu_);
+      rejected_.erase({node, id});
+      return true;
+    } catch (const Unavailable&) {
+    } catch (const Error& e) {
+      MutexLock lock(mu_);
+      if (rejected_.insert({node, id}).second) {
+        DPSS_LOG(Warn) << "subscription reconcile: " << node << " rejected "
+                       << (id == 0 ? "the id list" : "id " + std::to_string(id))
+                       << ", retrying each round: " << e.what();
+      }
+    }
+    return false;
+  };
   for (const auto& node : realtimeNodes()) {
     std::vector<pss::SubscriptionId> have;
-    try {
-      have = listSubscriptions(transport_, node, options_.rpc);
-    } catch (const Unavailable&) {
+    if (!attempt(node, 0, [&] {
+          have = listSubscriptions(transport_, node, options_.rpc);
+        })) {
       continue;
     }
     for (const auto& record : records) {
       if (std::find(have.begin(), have.end(), record.id) != have.end()) {
         continue;
       }
-      try {
+      pushes += attempt(node, record.id, [&] {
         ByteReader r(record.specBytes);
         attachSubscription(transport_, node, record.id,
                            pss::SubscriptionSpec::deserialize(r),
                            options_.rpc);
-        ++pushes;
-      } catch (const Unavailable&) {
-      }
+      });
     }
     for (const auto id : have) {
       const bool desired =
           std::any_of(records.begin(), records.end(),
                       [&](const SubscriptionRecord& r) { return r.id == id; });
       if (desired) continue;
-      try {
+      pushes += attempt(node, id, [&] {
         unsubscribeOn(transport_, node, id, options_.rpc);
-        ++pushes;
-      } catch (const Unavailable&) {
-      }
+      });
     }
   }
   {

@@ -14,7 +14,9 @@
 
 #include <cstdint>
 #include <map>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cluster/metastore.h"
@@ -61,7 +63,9 @@ class SubscriptionBroker {
       pss::SubscriptionId id, const std::map<std::string, std::uint64_t>& acks);
 
   /// One convergence round over the realtime tier; returns the number of
-  /// attach + detach pushes it issued.
+  /// attach + detach pushes that succeeded. A node that is down or rejects
+  /// a record costs only that push, retried next round; the round itself
+  /// throws only when the metastore cannot be read.
   std::size_t reconcile();
 
   /// Serves one kSubscribe(register) / kUnsubscribe / kSnapshot(collect)
@@ -84,6 +88,10 @@ class SubscriptionBroker {
   std::map<pss::SubscriptionId, std::uint64_t> collected_ DPSS_GUARDED_BY(mu_);
   std::uint64_t snapshotsCollected_ DPSS_GUARDED_BY(mu_) = 0;
   std::uint64_t reconcileRounds_ DPSS_GUARDED_BY(mu_) = 0;
+  // (node, id) calls reconcile() has seen rejected, so each is logged once
+  // (id 0: the node's id list).
+  std::set<std::pair<std::string, pss::SubscriptionId>> rejected_
+      DPSS_GUARDED_BY(mu_);
 };
 
 }  // namespace dpss::cluster

@@ -44,17 +44,19 @@ void SubscriptionHost::attach(pss::SubscriptionId id,
                               const pss::SubscriptionSpec& spec) {
   MutexLock lock(mu_);
   if (entries_.find(id) != entries_.end()) return;  // idempotent
-  SubscriptionDurable& durable = disk_[id];
-  if (durable.specBytes.empty()) {
-    ByteWriter w;
-    spec.serialize(w);
-    durable.specBytes = w.take();
-  }
+  // The matcher first: a spec it rejects must not reach the disk, where
+  // restore() would meet it again after every restart.
   Entry entry;
   entry.attachedMs = clock_.nowMs();
   if (spec.docSource == dataSource_) {
     entry.matcher = std::make_unique<pss::SubscriptionMatcher>(
         spec, seedFor(id), clock_.nowMs());
+  }
+  SubscriptionDurable& durable = disk_[id];
+  if (durable.specBytes.empty()) {
+    ByteWriter w;
+    spec.serialize(w);
+    durable.specBytes = w.take();
   }
   entries_.emplace(id, std::move(entry));
 }

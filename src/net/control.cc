@@ -11,6 +11,7 @@ namespace dpss::net {
 namespace {
 
 std::atomic<bool> g_shutdownRequested{false};
+static_assert(std::atomic<bool>::is_always_lock_free);  // signal-safe
 
 ByteWriter ctlRequest(std::uint8_t subop) {
   ByteWriter w;
@@ -20,6 +21,10 @@ ByteWriter ctlRequest(std::uint8_t subop) {
 }
 
 }  // namespace
+
+void requestShutdown() {
+  g_shutdownRequested.store(true, std::memory_order_release);
+}
 
 bool shutdownRequested() {
   return g_shutdownRequested.load(std::memory_order_acquire);
@@ -65,7 +70,7 @@ void bindControl(cluster::TransportIface& transport,
         break;
       }
       case control_op::kShutdown:
-        g_shutdownRequested.store(true, std::memory_order_release);
+        requestShutdown();
         break;
       case control_op::kServedSegments: {
         if (targets.historical == nullptr) {

@@ -42,8 +42,9 @@ struct ControlTargets {
   std::size_t partition = 0;
 };
 
-/// True once any bound control handler received kShutdown (process-wide,
-/// polled by dpss_node's main loop).
+/// The process-wide stop flag dpss_node polls, set by kShutdown and by
+/// SIGINT/SIGTERM: requestShutdown() is async-signal-safe.
+void requestShutdown();
 bool shutdownRequested();
 
 /// Binds "<name>.ctl" on the transport.

@@ -27,11 +27,14 @@
 // (realtime), decommission/drain-state (historical), and graceful
 // shutdown. A draining historical exits on its own once the coordinator
 // marks the drain complete.
+// Role functions only build; one driver (Process) runs every role's
+// lifecycle (DESIGN.md §9 "Process lifecycle").
 #include <csignal>
 #include <cstdint>
 #include <cstdlib>
 #include <functional>
 #include <iostream>
+#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -68,8 +71,12 @@
 
 namespace {
 
-volatile std::sig_atomic_t g_stop = 0;
-void onSignal(int) { g_stop = 1; }
+namespace cluster = dpss::cluster;
+namespace net = dpss::net;
+namespace obs = dpss::obs;
+namespace storage = dpss::storage;
+
+void onSignal(int) { net::requestShutdown(); }
 
 struct Flags {
   std::string role;
@@ -129,7 +136,7 @@ Flags parseFlags(int argc, char** argv) {
     } else if (arg == "--name") {
       f.name = next(i);
     } else if (arg == "--listen") {
-      const dpss::net::Endpoint ep = dpss::net::Endpoint::parse(next(i));
+      const net::Endpoint ep = net::Endpoint::parse(next(i));
       f.listenHost = ep.host;
       f.listenPort = ep.port;
     } else if (arg == "--peer") {
@@ -185,16 +192,16 @@ Flags parseFlags(int argc, char** argv) {
   return f;
 }
 
-dpss::cluster::RpcPolicy rpcPolicy(const Flags& f) {
-  dpss::cluster::RpcPolicy policy;
+cluster::RpcPolicy rpcPolicy(const Flags& f) {
+  cluster::RpcPolicy policy;
   policy.maxAttempts = f.rpcAttempts;
   policy.initialBackoffMs = f.rpcBackoffMs;
   policy.deadlineMs = f.rpcDeadlineMs;
   return policy;
 }
 
-dpss::net::RemoteRegistryOptions registryOptions(const Flags& f) {
-  dpss::net::RemoteRegistryOptions opts;
+net::RemoteRegistryOptions registryOptions(const Flags& f) {
+  net::RemoteRegistryOptions opts;
   opts.syncIntervalMs = f.syncMs;
   opts.heartbeatIntervalMs = f.heartbeatMs;
   opts.rpc = rpcPolicy(f);
@@ -204,64 +211,12 @@ dpss::net::RemoteRegistryOptions registryOptions(const Flags& f) {
 /// The fixed schema dpss_node's realtime role indexes (the realtime
 /// pipeline example's ad-event shape); events arrive over the control
 /// channel as storage::encodeInputRow payloads matching it.
-dpss::storage::Schema realtimeSchema() {
-  dpss::storage::Schema s;
+storage::Schema realtimeSchema() {
+  storage::Schema s;
   s.dimensions = {"publisher", "country"};
-  s.metrics = {{"impressions", dpss::storage::MetricType::kLong},
-               {"revenue", dpss::storage::MetricType::kDouble}};
+  s.metrics = {{"impressions", storage::MetricType::kLong},
+               {"revenue", storage::MetricType::kDouble}};
   return s;
-}
-
-void announceReady(const Flags& f, dpss::net::NetTransport& transport) {
-  std::cout << "dpss_node " << f.role << " '" << f.name << "' listening on "
-            << f.listenHost << ":" << transport.port() << std::endl;
-}
-
-/// Starts the HTTP admin server when --admin-port was given (0 picks a
-/// free port) and prints the bound port on its own parseable line.
-std::unique_ptr<dpss::net::HttpAdminServer> startAdmin(
-    const Flags& f, dpss::Clock& clock, dpss::net::AdminPlane plane) {
-  if (f.adminPort < 0) return nullptr;
-  dpss::net::HttpAdminOptions opts;
-  opts.host = f.listenHost;
-  opts.port = static_cast<std::uint16_t>(f.adminPort);
-  auto server = std::make_unique<dpss::net::HttpAdminServer>(clock, opts);
-  dpss::net::bindAdminEndpoints(*server, std::move(plane));
-  server->start();
-  std::cout << "dpss_node '" << f.name << "' admin on " << f.listenHost << ":"
-            << server->port() << std::endl;
-  return server;
-}
-
-/// The span shipper every worker role runs from its tick: drains the
-/// node registry's span ring toward --trace-sink (default the
-/// coordinator). Disabled with --trace-sink ''.
-std::optional<dpss::cluster::SpanShipper> makeShipper(
-    const Flags& f, dpss::obs::MetricsRegistry& registry,
-    dpss::net::NetTransport& transport) {
-  if (f.traceSink.empty()) return std::nullopt;
-  dpss::cluster::SpanShipper::Options opts;
-  opts.rpc = rpcPolicy(f);
-  return std::make_optional<dpss::cluster::SpanShipper>(registry, transport,
-                                                        f.traceSink, opts);
-}
-
-void mainLoop(const Flags& f, dpss::Clock& clock,
-              const std::function<void()>& tick,
-              const std::function<bool()>& done = nullptr) {
-  while (g_stop == 0 && !dpss::net::shutdownRequested()) {
-    tick();
-    if (done && done()) return;
-    clock.sleepFor(f.tickMs);
-  }
-}
-
-/// The authoritative metadata store: journaled + snapshotted when
-/// --meta-dir was given (survives a process restart), in-memory
-/// otherwise.
-std::unique_ptr<dpss::cluster::MetaStore> makeMetaStore(const Flags& f) {
-  if (f.metaDir.empty()) return std::make_unique<dpss::cluster::MetaStore>();
-  return std::make_unique<dpss::cluster::JournaledMetaStore>(f.metaDir);
 }
 
 /// True when `name` is wired to another process. A peer entry that points
@@ -272,7 +227,7 @@ bool hasRemotePeer(const Flags& f, const std::string& name) {
   for (const auto& [peer, hostPort] : f.peers) {
     if (peer != name) continue;
     try {
-      const dpss::net::Endpoint ep = dpss::net::Endpoint::parse(hostPort);
+      const net::Endpoint ep = net::Endpoint::parse(hostPort);
       if (ep.host == f.listenHost && ep.port == f.listenPort) continue;
     } catch (const dpss::Error&) {
     }
@@ -281,25 +236,9 @@ bool hasRemotePeer(const Flags& f, const std::string& name) {
   return false;
 }
 
-/// Routes callees unknown at launch (runtime scale-out) through their
-/// registry announcements. The caller must clear the resolver before
-/// `registry` dies.
-void installResolver(dpss::net::NetTransport& transport,
-                     dpss::cluster::Registry& registry) {
-  transport.setPeerResolver(
-      [&registry](const std::string& node) -> std::optional<std::string> {
-        const auto data =
-            registry.getData(dpss::cluster::paths::nodeAnnouncement(node));
-        if (!data) return std::nullopt;
-        const std::string ep = dpss::cluster::paths::announceEndpoint(*data);
-        if (ep.empty()) return std::nullopt;
-        return ep;
-      });
-}
-
 /// The realtime role's /statusz subscription table (one entry per hosted
 /// standing query), consumed by `dpss_dump.py --subscriptions`.
-std::string subscriptionStatusFields(dpss::cluster::RealtimeNode& node) {
+std::string subscriptionStatusFields(cluster::RealtimeNode& node) {
   std::string out = "\"subscriptions\":[";
   bool first = true;
   for (const auto& s : node.subscriptionStatus()) {
@@ -321,7 +260,7 @@ std::string subscriptionStatusFields(dpss::cluster::RealtimeNode& node) {
 
 /// The broker's /statusz view of the registered standing queries.
 std::string subscriptionBrokerStatusFields(
-    dpss::cluster::SubscriptionBroker& subs, dpss::Clock& clock) {
+    cluster::SubscriptionBroker& subs, dpss::Clock& clock) {
   const dpss::TimeMs now = clock.nowMs();
   std::string out = "\"subscriptions\":[";
   bool first = true;
@@ -341,7 +280,7 @@ std::string subscriptionBrokerStatusFields(
 
 /// The coordinator's role-specific /statusz section: election state plus
 /// the most recent reconciliation cycle's rebalancer numbers.
-std::string coordinatorStatusFields(dpss::cluster::CoordinatorNode& c) {
+std::string coordinatorStatusFields(cluster::CoordinatorNode& c) {
   const auto s = c.lastStats();
   std::string out;
   out += "\"leader\":" + std::string(s.leader ? "true" : "false");
@@ -360,159 +299,270 @@ std::string coordinatorStatusFields(dpss::cluster::CoordinatorNode& c) {
   return out;
 }
 
-/// Standalone substrate host for multi-coordinator deployments: the
-/// registry, metadata store and deep storage live here so no coordinator
-/// is special and a SIGKILLed leader loses nothing but its lease.
-int runSubstrate(const Flags& f, dpss::Clock& clock,
-                 dpss::net::NetTransport& transport) {
-  dpss::cluster::Registry registry;
-  auto metaStore = makeMetaStore(f);
-  dpss::storage::MemoryDeepStorage deepStorage;
-  dpss::net::SubstrateService substrate(registry, *metaStore, deepStorage,
-                                        clock, f.leaseMs);
-  transport.bind(dpss::net::kSubstrateNode, substrate.handler());
-  dpss::net::bindControl(transport, f.name, "substrate", {});
-  dpss::net::AdminPlane plane;
-  plane.nodeName = f.name;
-  plane.role = "substrate";
-  plane.registry = &dpss::obs::globalRegistry();
-  plane.leaseState = [] { return std::string("none"); };
-  plane.liveSessions = [&substrate] { return substrate.liveSessionCount(); };
-  plane.startNs = dpss::obs::nowNanos();
-  auto admin = startAdmin(f, clock, std::move(plane));
-  announceReady(f, transport);
-  mainLoop(f, clock, [&] { substrate.sweepExpiredLeases(); });
-  if (admin) admin->stop();
-  return 0;
+/// What a role function hands the driver once its objects are built and
+/// started. Serving the control channel and admin plane, span shipping,
+/// the ready line, the main loop and teardown are the driver's.
+struct Role {
+  net::ControlTargets control;
+  /// The fields the role owns; the driver fills nodeName, role, startNs.
+  /// A node registry set here also ships its spans to --trace-sink; unset,
+  /// the process-global one serves (and an unset leaseState shows "none").
+  net::AdminPlane plane;
+  std::function<void()> tick;
+  /// Optional: true ends the process (a historical whose drain completed).
+  std::function<bool()> drained;
+};
+
+/// One dpss_node process: its transport, every object its role builds, and
+/// the lifecycle that orders them.
+class Process {
+ public:
+  explicit Process(const Flags& flags)
+      : f(flags),
+        clock(dpss::SystemClock::instance()),
+        transport(clock,
+                  {.server = {.host = f.listenHost, .port = f.listenPort},
+                   .client = {}}) {
+    transport.start();
+    for (const auto& [name, hostPort] : f.peers) {
+      transport.addPeer(name, hostPort);
+    }
+  }
+
+  // The stop rule, on every exit path (shutdown, a completed drain, an
+  // exception from a role function or a tick): inbound serving stops
+  // before any object a handler or admin route captures is destroyed.
+  // NetServer::stop() joins the event loop and then every worker, so once
+  // it returns no handler is running. Outbound calls still work, so nodes
+  // deregister from the substrate as they are destroyed.
+  ~Process() {
+    transport.stop();
+    while (!objects_.empty()) objects_.pop_back();
+  }
+
+  /// Makes an object that lives until teardown; objects die newest first.
+  template <typename T, typename... Args>
+  T& make(Args&&... args) {
+    auto object = std::make_shared<T>(std::forward<Args>(args)...);
+    T& ref = *object;
+    objects_.push_back(std::move(object));
+    return ref;
+  }
+
+  /// Runs `fn` at teardown, after every object made later is destroyed and
+  /// before any made earlier is. (A shared_ptr runs its deleter even when
+  /// the pointer it owns is null.)
+  void atTeardown(std::function<void()> fn) {
+    objects_.emplace_back(nullptr, [fn = std::move(fn)](void*) { fn(); });
+  }
+
+  /// Binds the control channel, starts the admin server and span shipper,
+  /// prints the ready line and ticks the role until shutdown or drain.
+  void run(Role role);
+
+  const Flags& f;
+  dpss::Clock& clock;
+  net::NetTransport transport;
+
+ private:
+  std::vector<std::shared_ptr<void>> objects_;  // oldest first
+};
+
+void Process::run(Role role) {
+  net::bindControl(transport, f.name, f.role, role.control);
+  role.plane.nodeName = f.name;
+  role.plane.role = f.role;
+  role.plane.startNs = obs::nowNanos();
+  cluster::SpanShipper* shipper = nullptr;
+  if (role.plane.registry && !f.traceSink.empty()) {
+    shipper = &make<cluster::SpanShipper>(
+        *role.plane.registry, transport, f.traceSink,
+        cluster::SpanShipper::Options{.rpc = rpcPolicy(f)});
+  }
+  if (!role.plane.registry) role.plane.registry = &obs::globalRegistry();
+  if (f.adminPort >= 0) {
+    auto& admin = make<net::HttpAdminServer>(
+        clock, net::HttpAdminOptions{
+                   .host = f.listenHost,
+                   .port = static_cast<std::uint16_t>(f.adminPort)});
+    net::bindAdminEndpoints(admin, role.plane);
+    admin.start();
+    std::cout << "dpss_node '" << f.name << "' admin on " << f.listenHost
+              << ":" << admin.port() << std::endl;
+  }
+  std::cout << "dpss_node " << f.role << " '" << f.name << "' listening on "
+            << f.listenHost << ":" << transport.port() << std::endl;
+  bool unavailable = false;
+  while (!net::shutdownRequested()) {
+    if (shipper) shipper->tick();
+    try {
+      role.tick();
+      unavailable = false;
+    } catch (const dpss::Unavailable& e) {
+      // A lost substrate (or peer) is a lease event, not an exit: the
+      // next tick retries. Logged once per outage.
+      if (!unavailable) {
+        DPSS_LOG(Warn) << f.name << ": tick failed, retrying: " << e.what();
+      }
+      unavailable = true;
+    }
+    if (role.drained && role.drained()) {
+      std::cout << "dpss_node '" << f.name << "' drain complete, exiting"
+                << std::endl;
+      break;
+    }
+    clock.sleepFor(f.tickMs);
+  }
 }
 
-int runCoordinator(const Flags& f, dpss::Clock& clock,
-                   dpss::net::NetTransport& transport) {
+/// Routes callees unknown at launch (runtime scale-out) through their
+/// registry announcements, until teardown reaches `registry`.
+void installResolver(Process& p, cluster::Registry& registry) {
+  p.transport.setPeerResolver(
+      [&registry](const std::string& node) -> std::optional<std::string> {
+        const auto data =
+            registry.getData(cluster::paths::nodeAnnouncement(node));
+        if (!data) return std::nullopt;
+        const std::string ep = cluster::paths::announceEndpoint(*data);
+        if (ep.empty()) return std::nullopt;
+        return ep;
+      });
+  p.atTeardown([&p] { p.transport.setPeerResolver(nullptr); });
+}
+
+/// Starts the registry mirror's sync + heartbeat threads. Call it after
+/// making the nodes whose watches those threads fire: the threads must stop
+/// before those nodes are destroyed, which destruction order alone cannot
+/// say (the nodes reference the registry, so it is destroyed after them).
+void startRegistrySync(Process& p, net::RemoteRegistry& registry) {
+  registry.start();
+  p.atTeardown([&registry] { registry.stop(); });
+}
+
+/// The authoritative substrates: registry, metadata store, deep storage.
+struct Substrates {
+  cluster::Registry* registry = nullptr;
+  cluster::MetaStore* metaStore = nullptr;
+  net::SubstrateService* service = nullptr;  // null: another process's
+};
+
+/// Hosts the substrates behind a SubstrateService bound as kSubstrateNode,
+/// for the substrate role and the single-coordinator deployment. The
+/// metadata store is journaled + snapshotted under --meta-dir (it survives
+/// a restart), in-memory otherwise.
+Substrates hostSubstrates(Process& p, Role& role) {
+  auto& registry = p.make<cluster::Registry>();
+  cluster::MetaStore& metaStore =
+      p.f.metaDir.empty() ? p.make<cluster::MetaStore>()
+                          : p.make<cluster::JournaledMetaStore>(p.f.metaDir);
+  auto& deepStorage = p.make<storage::MemoryDeepStorage>();
+  auto& service = p.make<net::SubstrateService>(registry, metaStore,
+                                                deepStorage, p.clock,
+                                                p.f.leaseMs);
+  p.transport.bind(net::kSubstrateNode, service.handler());
+  role.plane.liveSessions = [&service] { return service.liveSessionCount(); };
+  return {&registry, &metaStore, &service};
+}
+
+/// Standalone substrate host for multi-coordinator deployments: no
+/// coordinator is special, so a SIGKILLed leader loses nothing but its
+/// lease.
+Role substrateRole(Process& p) {
+  Role role;
+  net::SubstrateService* service = hostSubstrates(p, role).service;
+  role.tick = [service] { service->sweepExpiredLeases(); };
+  return role;
+}
+
+Role coordinatorRole(Process& p) {
+  const Flags& f = p.f;
+  Role role;
   // Two deployments share this role. Standalone (no substrate peer): this
   // process hosts the authoritative substrates, as the single-coordinator
   // topology always has. Standby-capable (--peer substrate=...): the
   // substrates live in a substrate process and several coordinators run
   // this same code against Remote* proxies, electing a leader among
   // themselves — the node class cannot tell the difference.
-  const bool remoteSubstrate = hasRemotePeer(f, dpss::net::kSubstrateNode);
-  std::unique_ptr<dpss::cluster::Registry> localRegistry;
-  std::unique_ptr<dpss::cluster::MetaStore> localMeta;
-  std::unique_ptr<dpss::storage::MemoryDeepStorage> localDeep;
-  std::unique_ptr<dpss::net::SubstrateService> substrate;
-  std::unique_ptr<dpss::net::RemoteRegistry> remoteRegistry;
-  std::unique_ptr<dpss::net::RemoteMetaStore> remoteMeta;
-  dpss::cluster::Registry* registry = nullptr;
-  dpss::cluster::MetaStore* metaStore = nullptr;
-  if (remoteSubstrate) {
-    remoteRegistry = std::make_unique<dpss::net::RemoteRegistry>(
-        transport, dpss::net::kSubstrateNode, registryOptions(f));
-    remoteMeta = std::make_unique<dpss::net::RemoteMetaStore>(
-        transport, dpss::net::kSubstrateNode, rpcPolicy(f));
-    registry = remoteRegistry.get();
-    metaStore = remoteMeta.get();
+  net::RemoteRegistry* remote = nullptr;
+  Substrates s;
+  if (hasRemotePeer(f, net::kSubstrateNode)) {
+    remote = &p.make<net::RemoteRegistry>(p.transport, net::kSubstrateNode,
+                                          registryOptions(f));
+    s = {remote, &p.make<net::RemoteMetaStore>(
+                     p.transport, net::kSubstrateNode, rpcPolicy(f))};
   } else {
-    localRegistry = std::make_unique<dpss::cluster::Registry>();
-    localMeta = makeMetaStore(f);
-    localDeep = std::make_unique<dpss::storage::MemoryDeepStorage>();
-    substrate = std::make_unique<dpss::net::SubstrateService>(
-        *localRegistry, *localMeta, *localDeep, clock, f.leaseMs);
-    transport.bind(dpss::net::kSubstrateNode, substrate->handler());
-    registry = localRegistry.get();
-    metaStore = localMeta.get();
+    s = hostSubstrates(p, role);
   }
-  dpss::cluster::CoordinatorOptions copts;
+  cluster::CoordinatorOptions copts;
   copts.maxMovesPerCycle = f.movesPerCycle;
   copts.maxPendingLoadsPerNode = f.maxPendingLoads;
-  dpss::cluster::CoordinatorNode coordinator(f.name, *registry, *metaStore,
-                                             clock, copts);
+  auto& coordinator = p.make<cluster::CoordinatorNode>(
+      f.name, *s.registry, *s.metaStore, p.clock, copts);
   // Stats collection dials every announced node; runtime-joined ones are
   // only dialable through their announced endpoints.
-  installResolver(transport, *registry);
+  installResolver(p, *s.registry);
   // The coordinator is the cluster's trace sink: workers ship their span
   // batches here (rpc::kSpans) and /tracez serves the assembled trees.
-  dpss::obs::TraceCollector collector;
-  transport.bind(f.name, [&collector](const std::string& req) {
+  auto& collector = p.make<obs::TraceCollector>();
+  p.transport.bind(f.name, [&collector](const std::string& req) {
     if (req.empty()) throw dpss::CorruptData("empty coordinator rpc");
     switch (static_cast<std::uint8_t>(req[0])) {
-      case dpss::cluster::rpc::kStats:
-        return dpss::cluster::handleStatsRpc(dpss::obs::globalRegistry(),
-                                             req.substr(1));
-      case dpss::cluster::rpc::kSpans:
-        return dpss::cluster::handleSpansRpc(collector, req);
+      case cluster::rpc::kStats:
+        return cluster::handleStatsRpc(obs::globalRegistry(), req.substr(1));
+      case cluster::rpc::kSpans:
+        return cluster::handleSpansRpc(collector, req);
       default:
         throw dpss::CorruptData("unknown coordinator rpc tag");
     }
   });
-  dpss::net::bindControl(transport, f.name, "coordinator", {});
-  dpss::net::AdminPlane plane;
-  plane.nodeName = f.name;
-  plane.role = "coordinator";
-  // The coordinator's own runOnce() runs outside any ScopedRegistry, so
-  // its metrics live in the process-global registry.
-  plane.registry = &dpss::obs::globalRegistry();
-  plane.traces = &collector;
-  plane.leaseState = [] { return std::string("none"); };
-  if (substrate) {
-    plane.liveSessions = [&substrate] {
-      return substrate->liveSessionCount();
-    };
-  }
-  plane.statusFields = [&coordinator] {
+  if (remote) startRegistrySync(p, *remote);
+  // runOnce() runs outside any ScopedRegistry, so the coordinator's
+  // metrics live in the process-global registry: plane.registry stays unset.
+  role.plane.traces = &collector;
+  role.plane.statusFields = [&coordinator] {
     return coordinatorStatusFields(coordinator);
   };
-  plane.startNs = dpss::obs::nowNanos();
-  auto admin = startAdmin(f, clock, std::move(plane));
-  if (remoteRegistry) remoteRegistry->start();
-  announceReady(f, transport);
   // Local spans (coordinator.* and net.server handlers) feed the
   // collector directly; there is no point shipping them over TCP.
-  std::uint64_t spanCursor = 0;
-  mainLoop(f, clock, [&] {
+  role.tick = [&coordinator, &collector, service = s.service,
+               spanCursor = std::uint64_t{0}]() mutable {
     coordinator.runOnce();
-    if (substrate) substrate->sweepExpiredLeases();
-    auto spans = dpss::obs::globalRegistry().spans().collectSince(&spanCursor);
+    if (service) service->sweepExpiredLeases();
+    auto spans = obs::globalRegistry().spans().collectSince(&spanCursor);
     if (!spans.empty()) collector.add(std::move(spans));
-  });
-  if (remoteRegistry) remoteRegistry->stop();
-  transport.setPeerResolver(nullptr);  // it captures *registry
-  if (admin) admin->stop();
-  return 0;
+  };
+  return role;
 }
 
-int runHistorical(const Flags& f, dpss::Clock& clock,
-                  dpss::net::NetTransport& transport) {
-  dpss::net::RemoteRegistry registry(transport, dpss::net::kSubstrateNode,
-                                     registryOptions(f));
-  dpss::net::RemoteDeepStorage deepStorage(transport,
-                                           dpss::net::kSubstrateNode,
-                                           rpcPolicy(f));
-  dpss::cluster::HistoricalNodeOptions nodeOptions;
+Role historicalRole(Process& p) {
+  const Flags& f = p.f;
+  auto& registry = p.make<net::RemoteRegistry>(p.transport, net::kSubstrateNode,
+                                               registryOptions(f));
+  auto& deepStorage = p.make<net::RemoteDeepStorage>(
+      p.transport, net::kSubstrateNode, rpcPolicy(f));
+  cluster::HistoricalNodeOptions nodeOptions;
   // Announce a dialable endpoint so processes that did not know this node
   // at launch (runtime scale-out) can resolve a route to it.
   nodeOptions.advertiseEndpoint =
       f.advertise.empty()
-          ? f.listenHost + ":" + std::to_string(transport.port())
+          ? f.listenHost + ":" + std::to_string(p.transport.port())
           : f.advertise;
-  dpss::cluster::HistoricalNode node(f.name, registry, deepStorage, transport,
-                                     nodeOptions);
-  dpss::net::ControlTargets targets;
-  targets.historical = &node;
-  dpss::net::bindControl(transport, f.name, "historical", targets);
+  auto& node = p.make<cluster::HistoricalNode>(f.name, registry, deepStorage,
+                                               p.transport, nodeOptions);
   node.start();
-  registry.start();
-  dpss::net::AdminPlane plane;
-  plane.nodeName = f.name;
-  plane.role = "historical";
-  plane.registry = &node.metrics();
-  plane.leaseState = [&node] {
+  startRegistrySync(p, registry);
+  Role role;
+  role.control.historical = &node;
+  role.plane.registry = &node.metrics();
+  role.plane.leaseState = [&node] {
     return std::string(node.registryLeaseActive() ? "active" : "expired");
   };
-  plane.servedSegments = [&node] {
+  role.plane.servedSegments = [&node] {
     std::vector<std::string> out;
     for (const auto& id : node.servedSegments()) out.push_back(id.toString());
     return out;
   };
-  plane.statusFields = [&node] {
+  role.plane.statusFields = [&node] {
     std::string out;
     out += "\"pending_loads\":" + std::to_string(node.pendingLoads());
     out += ",\"drain\":{\"draining\":";
@@ -522,157 +572,113 @@ int runHistorical(const Flags& f, dpss::Clock& clock,
     out += "}";
     return out;
   };
-  plane.startNs = dpss::obs::nowNanos();
-  auto admin = startAdmin(f, clock, std::move(plane));
-  auto shipper = makeShipper(f, node.metrics(), transport);
-  announceReady(f, transport);
-  mainLoop(
-      f, clock,
-      [&] {
-        node.tick();
-        if (shipper) shipper->tick();
-      },
-      // A drained node has nothing left to serve: deregister and exit so
-      // the operator (or launcher) can reclaim the process.
-      [&node] { return node.drainComplete(); });
-  if (node.drainComplete()) {
-    std::cout << "dpss_node '" << f.name << "' drain complete, exiting"
-              << std::endl;
-  }
-  registry.stop();
-  node.stop();
-  if (admin) admin->stop();
-  return 0;
+  role.tick = [&node] { node.tick(); };
+  // A drained node has nothing left to serve: deregister and exit so the
+  // operator (or launcher) can reclaim the process.
+  role.drained = [&node] { return node.drainComplete(); };
+  return role;
 }
 
-int runRealtime(const Flags& f, dpss::Clock& clock,
-                dpss::net::NetTransport& transport) {
-  dpss::net::RemoteRegistry registry(transport, dpss::net::kSubstrateNode,
-                                     registryOptions(f));
-  dpss::net::RemoteMetaStore metaStore(transport, dpss::net::kSubstrateNode,
-                                       rpcPolicy(f));
-  dpss::net::RemoteDeepStorage deepStorage(transport,
-                                           dpss::net::kSubstrateNode,
-                                           rpcPolicy(f));
+Role realtimeRole(Process& p) {
+  const Flags& f = p.f;
+  auto& registry = p.make<net::RemoteRegistry>(p.transport, net::kSubstrateNode,
+                                               registryOptions(f));
+  auto& metaStore = p.make<net::RemoteMetaStore>(
+      p.transport, net::kSubstrateNode, rpcPolicy(f));
+  auto& deepStorage = p.make<net::RemoteDeepStorage>(
+      p.transport, net::kSubstrateNode, rpcPolicy(f));
   // The queue is process-local — the node consumes its own partition's
   // log, like a Kafka consumer colocated with its broker — and the
   // control channel is its producer.
-  dpss::cluster::MessageQueue queue;
+  auto& queue = p.make<cluster::MessageQueue>();
   queue.createTopic(f.topic, f.partition + 1);
-  dpss::cluster::NodeDisk disk;
-  dpss::cluster::RealtimeNode node(f.name, registry, queue, f.topic,
-                                   f.partition, deepStorage, metaStore,
-                                   transport, clock, realtimeSchema(),
-                                   f.dataSource, disk);
-  dpss::net::ControlTargets targets;
-  targets.queue = &queue;
-  targets.topic = f.topic;
-  targets.partition = f.partition;
-  dpss::net::bindControl(transport, f.name, "realtime", targets);
+  auto& disk = p.make<cluster::NodeDisk>();
+  auto& node = p.make<cluster::RealtimeNode>(
+      f.name, registry, queue, f.topic, f.partition, deepStorage, metaStore,
+      p.transport, p.clock, realtimeSchema(), f.dataSource, disk);
   // A process restarted right after a crash races its dead predecessor's
   // ephemeral announcement: wait out the lease sweep instead of dying.
-  for (int attempt = 0;; ++attempt) {
+  for (int attempt = 0; !net::shutdownRequested(); ++attempt) {
     try {
       node.start();
       break;
     } catch (const dpss::AlreadyExists&) {
-      if (attempt >= 40 || g_stop != 0) throw;
-      clock.sleepFor(250);
+      if (attempt >= 40) throw;
+      p.clock.sleepFor(250);
     }
   }
-  registry.start();
-  dpss::net::AdminPlane plane;
-  plane.nodeName = f.name;
-  plane.role = "realtime";
-  plane.registry = &node.metrics();
-  plane.leaseState = [&node] {
+  startRegistrySync(p, registry);
+  Role role;
+  role.control = {.queue = &queue, .topic = f.topic, .partition = f.partition};
+  role.plane.registry = &node.metrics();
+  role.plane.leaseState = [&node] {
     return std::string(node.registryLeaseActive() ? "active" : "expired");
   };
-  plane.servedSegments = [&node] {
+  role.plane.servedSegments = [&node] {
     std::vector<std::string> out;
     for (const auto& id : node.announcedSegments()) out.push_back(id.toString());
     return out;
   };
-  plane.statusFields = [&node] { return subscriptionStatusFields(node); };
-  plane.startNs = dpss::obs::nowNanos();
-  auto admin = startAdmin(f, clock, std::move(plane));
-  auto shipper = makeShipper(f, node.metrics(), transport);
-  announceReady(f, transport);
-  mainLoop(f, clock, [&] {
-    node.tick();
-    if (shipper) shipper->tick();
-  });
-  registry.stop();
-  node.stop();
-  if (admin) admin->stop();
-  return 0;
+  role.plane.statusFields = [&node] { return subscriptionStatusFields(node); };
+  role.tick = [&node] { node.tick(); };
+  return role;
 }
 
-int runBroker(const Flags& f, dpss::Clock& clock,
-              dpss::net::NetTransport& transport) {
-  dpss::net::RemoteRegistry registry(transport, dpss::net::kSubstrateNode,
-                                     registryOptions(f));
+Role brokerRole(Process& p) {
+  const Flags& f = p.f;
+  auto& registry = p.make<net::RemoteRegistry>(p.transport, net::kSubstrateNode,
+                                               registryOptions(f));
   // The subscription plane persists standing queries in the authoritative
   // metastore (journaled when the substrate runs with --meta-dir, so they
   // survive coordinator failover) and fans them out to realtime nodes.
-  dpss::net::RemoteMetaStore metaStore(transport, dpss::net::kSubstrateNode,
-                                       rpcPolicy(f));
-  dpss::cluster::BrokerOptions options;
+  auto& metaStore = p.make<net::RemoteMetaStore>(
+      p.transport, net::kSubstrateNode, rpcPolicy(f));
+  cluster::BrokerOptions options;
   options.resultCacheCapacity = f.brokerCache;
   options.rpcPolicy = rpcPolicy(f);
   options.slowQueryMs = f.slowQueryMs;
-  dpss::cluster::BrokerNode broker(f.name, registry, transport, options);
-  dpss::cluster::SubscriptionBrokerOptions subOptions;
-  subOptions.rpc = rpcPolicy(f);
-  dpss::cluster::SubscriptionBroker subscriptions(registry, metaStore,
-                                                  transport, subOptions);
+  auto& broker =
+      p.make<cluster::BrokerNode>(f.name, registry, p.transport, options);
+  auto& subscriptions = p.make<cluster::SubscriptionBroker>(
+      registry, metaStore, p.transport,
+      cluster::SubscriptionBrokerOptions{.rpc = rpcPolicy(f)});
   broker.attachSubscriptions(&subscriptions);
   // The broker dials whatever serves a segment; historicals that joined
   // after launch are routed through their announced endpoints.
-  installResolver(transport, registry);
-  dpss::net::bindControl(transport, f.name, "broker", {});
+  installResolver(p, registry);
   broker.start();
-  registry.start();
-  dpss::net::AdminPlane plane;
-  plane.nodeName = f.name;
-  plane.role = "broker";
-  plane.registry = &broker.metrics();
-  plane.leaseState = [&broker] {
+  startRegistrySync(p, registry);
+  Role role;
+  role.plane.registry = &broker.metrics();
+  role.plane.leaseState = [&broker] {
     return std::string(broker.registryLeaseActive() ? "active" : "expired");
   };
-  plane.statusFields = [&subscriptions, &clock] {
+  role.plane.statusFields = [&subscriptions, &clock = p.clock] {
     return subscriptionBrokerStatusFields(subscriptions, clock);
   };
-  plane.startNs = dpss::obs::nowNanos();
-  auto admin = startAdmin(f, clock, std::move(plane));
-  auto shipper = makeShipper(f, broker.metrics(), transport);
-  announceReady(f, transport);
   // The reconcile loop is throttled well below the tick rate: it probes
-  // every realtime node, which is pointless more than ~twice a second.
-  dpss::TimeMs lastReconcile = 0;
-  mainLoop(f, clock, [&] {
-    if (shipper) shipper->tick();
-    const dpss::TimeMs now = clock.nowMs();
-    if (now - lastReconcile >= 500) {
-      lastReconcile = now;
-      try {
-        subscriptions.reconcile();
-      } catch (const dpss::Error&) {
-        // Substrate unreachable: the next round retries.
-      }
-    }
-  });
-  registry.stop();
-  broker.stop();
-  transport.setPeerResolver(nullptr);  // it captures `registry`
-  if (admin) admin->stop();
-  return 0;
+  // every realtime node, which is pointless more than ~twice a second. A
+  // round that throws is retried next tick, as any role's tick is.
+  role.tick = [&subscriptions, &clock = p.clock,
+               last = dpss::TimeMs{0}]() mutable {
+    if (clock.nowMs() - last < 500) return;
+    subscriptions.reconcile();
+    last = clock.nowMs();
+  };
+  return role;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   const Flags f = parseFlags(argc, argv);
+  const std::map<std::string, Role (*)(Process&)> roles = {
+      {"substrate", substrateRole},   {"coordinator", coordinatorRole},
+      {"historical", historicalRole}, {"realtime", realtimeRole},
+      {"broker", brokerRole},
+  };
+  const auto build = roles.find(f.role);
+  if (build == roles.end()) usage("unknown role " + f.role);
   std::signal(SIGINT, onSignal);
   std::signal(SIGTERM, onSignal);
 
@@ -680,36 +686,14 @@ int main(int argc, char** argv) {
   // ScopedRegistry (net loop threads, the coordinator's whole plane);
   // name it after this node so merged /metrics label those series too.
   // Safe here: no other thread exists yet.
-  dpss::obs::globalRegistry().setNodeName(f.name);
+  obs::globalRegistry().setNodeName(f.name);
 
-  dpss::Clock& clock = dpss::SystemClock::instance();
-  dpss::net::NetTransportOptions topts;
-  topts.server.host = f.listenHost;
-  topts.server.port = f.listenPort;
-  dpss::net::NetTransport transport(clock, topts);
   try {
-    transport.start();
-    for (const auto& [name, hostPort] : f.peers) {
-      transport.addPeer(name, hostPort);
-    }
-    int rc = 0;
-    if (f.role == "substrate") {
-      rc = runSubstrate(f, clock, transport);
-    } else if (f.role == "coordinator") {
-      rc = runCoordinator(f, clock, transport);
-    } else if (f.role == "historical") {
-      rc = runHistorical(f, clock, transport);
-    } else if (f.role == "realtime") {
-      rc = runRealtime(f, clock, transport);
-    } else if (f.role == "broker") {
-      rc = runBroker(f, clock, transport);
-    } else {
-      usage("unknown role " + f.role);
-    }
-    transport.stop();
-    return rc;
+    Process process(f);
+    process.run(build->second(process));
   } catch (const dpss::Error& e) {
     std::cerr << "dpss_node '" << f.name << "': " << e.what() << std::endl;
     return 1;
   }
+  return 0;
 }

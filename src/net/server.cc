@@ -88,9 +88,10 @@ void NetServer::stop() {
   }
   wake();
   if (loopThread_.joinable()) loopThread_.join();
-  // Workers may still be inside handlers; queueResponse drops their
-  // output once running_ is false. Destroying the pool joins them.
+  // Workers may still be inside handlers; destroying the pool joins them.
+  // What they answered is written before the connections close.
   pool_.reset();
+  flushResponses();
   obs::currentRegistry().gauge(kConnsOpen).add(
       -static_cast<std::int64_t>(conns_.size()));
   conns_.clear();
@@ -120,10 +121,37 @@ void NetServer::wake() {
 void NetServer::queueResponse(std::uint64_t connId, std::string encodedFrame) {
   {
     MutexLock lock(mu_);
-    if (!running_) return;
     pending_[connId].push_back(std::move(encodedFrame));
   }
   wake();
+}
+
+void NetServer::movePendingToOutboxes() {
+  for (auto& [connId, frames] : pending_) {
+    const auto it = conns_.find(connId);
+    if (it == conns_.end()) continue;  // connection died; drop
+    for (auto& f : frames) it->second.outbox.push_back(std::move(f));
+  }
+  pending_.clear();
+}
+
+void NetServer::flushResponses() {
+  {
+    MutexLock lock(mu_);
+    movePendingToOutboxes();
+  }
+  // Bounded: a peer that stops reading delays stop() by at most ~0.5 s.
+  std::vector<struct pollfd> pfds;
+  for (int round = 0; round < 10; ++round) {
+    pfds.clear();
+    for (auto& [connId, conn] : conns_) {
+      if (conn.outbox.empty()) continue;
+      if (!drainWritable(conn)) conn.outbox.clear();
+      if (!conn.outbox.empty()) pfds.push_back({conn.fd.get(), POLLOUT, 0});
+    }
+    if (pfds.empty()) return;
+    ::poll(pfds.data(), pfds.size(), /*timeout_ms=*/50);
+  }
 }
 
 void NetServer::handleRequest(std::uint64_t connId, Frame request) {
@@ -225,13 +253,7 @@ void NetServer::loop() {
     {
       MutexLock lock(mu_);
       if (!running_) return;
-      // Move worker responses into connection outboxes.
-      for (auto& [connId, frames] : pending_) {
-        const auto it = conns_.find(connId);
-        if (it == conns_.end()) continue;  // connection died; drop
-        for (auto& f : frames) it->second.outbox.push_back(std::move(f));
-      }
-      pending_.clear();
+      movePendingToOutboxes();
       connectionCount_ = conns_.size();
     }
 

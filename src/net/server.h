@@ -11,7 +11,9 @@
 //    never runs user code, so a slow handler stalls one worker, not the
 //    whole server.
 //  * Connections are identified by id; a worker finishing after its
-//    connection died simply drops the response.
+//    connection died simply drops the response. stop() joins the workers
+//    and writes the responses they finished before it closes connections,
+//    so a caller whose handler completed gets its answer.
 //
 // One server hosts several logical nodes (bind("broker", ...),
 // bind("broker.ctl", ...)): the request frame carries the target name.
@@ -56,7 +58,8 @@ class NetServer {
   /// Starts listening + the event loop. Throws Unavailable when the
   /// port cannot be bound. Idempotent.
   void start();
-  /// Stops the loop, closes every connection, joins workers.
+  /// Stops the loop, joins workers, writes the responses they finished,
+  /// then closes every connection.
   void stop();
 
   /// The bound port (valid after start()).
@@ -79,6 +82,9 @@ class NetServer {
   void queueResponse(std::uint64_t connId, std::string encodedFrame);
   bool drainReadable(std::uint64_t connId, Conn& conn);
   bool drainWritable(Conn& conn);
+  /// Worker responses into connection outboxes (loop, or stop() after it).
+  void movePendingToOutboxes() DPSS_REQUIRES(mu_);
+  void flushResponses();  // stop(): pending_ -> outboxes -> sockets
 
   Clock& clock_;
   NetServerOptions options_;

@@ -1,5 +1,7 @@
 #include "pss/subscription.h"
 
+#include <unordered_set>
+
 #include "common/error.h"
 #include "obs/metrics.h"
 
@@ -39,6 +41,13 @@ SubscriptionSpec SubscriptionSpec::deserialize(ByteReader& r) {
                  "subscription query length must match its dictionary");
   DPSS_CHECK_MSG(s.blocksPerSegment >= 1,
                  "subscription needs at least one block per segment");
+  // A repeated word would only fail later, inside every realtime node's
+  // matcher; reject it here, before the broker persists the spec.
+  const std::unordered_set<std::string_view> distinct(
+      s.dictionaryWords.begin(), s.dictionaryWords.end());
+  if (distinct.size() != s.dictionaryWords.size()) {
+    throw InvalidArgument("subscription dictionary repeats a word");
+  }
   return s;
 }
 

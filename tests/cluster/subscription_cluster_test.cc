@@ -12,6 +12,8 @@
 #include "cluster/chaos_scheduler.h"
 #include "cluster/cluster.h"
 #include "cluster/subscription_client.h"
+#include "cluster/subscription_rpc.h"
+#include "common/bytes.h"
 #include "common/error.h"
 #include "pss/session.h"
 #include "storage/schema.h"
@@ -223,6 +225,52 @@ TEST_F(SubscriptionClusterTest, ReconcileAttachesLateJoinersAndRetiresStale) {
   EXPECT_TRUE(cluster.realtime(1).subscriptions().ids().empty());
   EXPECT_TRUE(cluster.metaStore().subscriptions().empty());
   EXPECT_EQ(cluster.subscriptionBroker().reconcile(), 0u);
+}
+
+TEST_F(SubscriptionClusterTest, ReconcileSkipsARecordItCannotAttach) {
+  Cluster cluster(clock_, {.historicalNodes = 1});
+  cluster.messageQueue().createTopic("ads-stream", 2);
+  cluster.addRealtimeNode("ads-stream", 0, rtSchema(), "rt-ads", options_);
+
+  pss::PrivateSearchClient search(dict_, params_, 128, 11);
+  SubscriptionClient subs(cluster.transport(), "broker", search);
+  const auto good = subs.subscribe({"sina"}, "rt-ads", 8, policy());
+
+  // A record no node can host (its dictionary repeats a word), written
+  // straight to the metastore past the broker's registration checks.
+  pss::SubscriptionSpec bad;
+  bad.docSource = "rt-ads";
+  bad.dictionaryWords = {"sina", "sina", "weibo"};
+  bad.query = search.makeQuery({"sina"});
+  ByteWriter w;
+  bad.serialize(w);
+  cluster.metaStore().upsertSubscription(
+      {.id = good + 1, .specBytes = w.take(), .createdMs = clock_.nowMs()});
+
+  // The bad record costs only its own pushes: the round still attaches
+  // the good one to a late joiner, and later rounds keep going.
+  cluster.addRealtimeNode("ads-stream", 1, rtSchema(), "rt-ads", options_);
+  EXPECT_EQ(cluster.subscriptionBroker().reconcile(), 1u);
+  EXPECT_EQ(cluster.realtime(0).subscriptions().ids(),
+            std::vector<pss::SubscriptionId>{good});
+  EXPECT_EQ(cluster.realtime(1).subscriptions().ids(),
+            std::vector<pss::SubscriptionId>{good});
+  EXPECT_EQ(cluster.subscriptionBroker().reconcile(), 0u);
+}
+
+TEST_F(SubscriptionClusterTest, RegistrationRejectsARepeatedDictionaryWord) {
+  Cluster cluster(clock_, {.historicalNodes = 1});
+  cluster.messageQueue().createTopic("ads-stream", 1);
+  cluster.addRealtimeNode("ads-stream", 0, rtSchema(), "rt-ads", options_);
+  pss::PrivateSearchClient search(dict_, params_, 128, 11);
+  pss::SubscriptionSpec bad;
+  bad.docSource = "rt-ads";
+  bad.dictionaryWords = {"sina", "sina", "weibo"};
+  bad.query = search.makeQuery({"sina"});
+  EXPECT_THROW(registerSubscription(cluster.transport(), "broker", bad),
+               InvalidArgument);
+  EXPECT_TRUE(cluster.metaStore().subscriptions().empty());
+  EXPECT_TRUE(cluster.realtime(0).subscriptions().ids().empty());
 }
 
 TEST_F(SubscriptionClusterTest, UnattachedBrokerRejectsSubscriptionVerbs) {

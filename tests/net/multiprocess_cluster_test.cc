@@ -13,7 +13,9 @@
 #include <cstdio>
 #include <functional>
 #include <set>
+#include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "cluster/broker_rpc.h"
@@ -21,6 +23,7 @@
 #include "cluster/pss_client.h"
 #include "cluster/rpc_policy.h"
 #include "cluster/subscription_client.h"
+#include "cluster/subscription_rpc.h"
 #include "pss/plaintext_access.h"
 #include "cluster/span_ship.h"
 #include "common/clock.h"
@@ -1140,6 +1143,309 @@ TEST_F(MultiprocessClusterTest, CoordinatorFailoverOnLeaderKill) {
     const int status = procs_[i].wait();
     EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0)
         << names_[i] << " exited with status " << status;
+  }
+}
+
+// Any shutdown order exits 0 (DESIGN.md §9 "Process lifecycle"). One
+// five-process cluster per order: each role first, then the reverse of
+// launch order. Then a standalone substrate is shut down before its two
+// coordinators. Before the process lifecycle was one driver, nodes freed
+// objects still bound on their transport (SIGSEGV, heap corruption), and a
+// coordinator whose substrate went away exited 1.
+TEST_F(MultiprocessClusterTest, ShutdownInEveryRoleOrderExitsCleanly) {
+  const std::vector<std::string> launch = {"coordinator", "hist-a", "hist-b",
+                                           "rt-0", "broker"};
+  const std::vector<std::string> roles = {"coordinator", "historical",
+                                          "historical", "realtime", "broker"};
+  std::vector<std::vector<std::string>> orders;
+  for (const std::string first : {"coordinator", "hist-a", "rt-0", "broker"}) {
+    std::vector<std::string> order = {first};
+    for (const auto& name : launch) {
+      if (name != first) order.push_back(name);
+    }
+    orders.push_back(order);
+  }
+  orders.emplace_back(launch.rbegin(), launch.rend());
+
+  // One process at a time, each reaped before the next is asked, so every
+  // survivor keeps ticking against a peer (or its substrate) that is gone.
+  const auto shutdownInOrder = [&](NetTransport& driver,
+                                   const std::vector<std::string>& order) {
+    for (const auto& name : order) {
+      controlShutdown(driver, name);
+      const int status = proc(name).wait();
+      EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0)
+          << name << " exited with status " << status;
+      clock_.sleepFor(150);
+    }
+  };
+  cluster::RpcPolicy rpc;
+  rpc.maxAttempts = 3;
+  rpc.initialBackoffMs = 50;
+  rpc.deadlineMs = 4'000;
+  storage::AdTechConfig config;
+  config.rowsPerSegment = 120;
+  const auto segments = storage::generateAdTechSegments(config, "ads", 2);
+
+  for (const auto& order : orders) {
+    SCOPED_TRACE("shutdown order starting with " + order.front());
+    procs_.clear();
+    names_.clear();
+    std::vector<std::pair<std::string, std::uint16_t>> wiring;
+    for (const auto& name : launch) wiring.emplace_back(name, freePort());
+    wiring.emplace_back("substrate", wiring.front().second);
+    for (std::size_t i = 0; i < launch.size(); ++i) {
+      spawnRole(roles[i], launch[i], wiring[i].second, wiring);
+    }
+    NetTransport driver(clock_);
+    driver.start();
+    for (const auto& [name, port] : wiring) {
+      driver.addPeer(name, "127.0.0.1:" + std::to_string(port));
+      driver.addPeer(name + ".ctl", "127.0.0.1:" + std::to_string(port));
+    }
+    for (const auto& name : launch) awaitReady(driver, name);
+
+    // Give every role live state before it stops: served segments, a
+    // broker view, an ingested event.
+    RemoteMetaStore metaStore(driver, kSubstrateNode, rpc);
+    RemoteDeepStorage deepStorage(driver, kSubstrateNode, rpc);
+    for (const auto& segment : segments) {
+      const std::string key = segment->id().toString();
+      deepStorage.put(key, storage::encodeSegment(*segment));
+      cluster::SegmentRecord record;
+      record.id = segment->id();
+      record.deepStorageKey = key;
+      record.sizeBytes = segment->memoryFootprint();
+      metaStore.upsertSegment(record);
+    }
+    storage::InputRow row;
+    row.timestamp = clock_.nowMs();
+    row.dimensions = {"pub0", "us"};
+    row.metrics = {1.0, 0.0};
+    controlIngest(driver, "rt-0", {storage::encodeInputRow(row)});
+    cluster::RemoteBroker broker(driver, "broker", rpc);
+    ASSERT_TRUE(eventually([&] {
+      const auto outcome = broker.query(countQuery("ads"));
+      return !outcome.partial() && outcome.rows.size() == 1 &&
+             outcome.rows[0].values[0] == 2 * 120.0;
+    })) << "broker never saw both segments";
+
+    shutdownInOrder(driver, order);
+  }
+
+  // The substrate in its own process, gone before both coordinators: they
+  // retry their lost lease each tick instead of exiting.
+  procs_.clear();
+  names_.clear();
+  const std::uint16_t subPort = freePort();
+  const std::uint16_t adminA = freePort();
+  const std::uint16_t adminB = freePort();
+  const std::vector<std::pair<std::string, std::uint16_t>> wiring = {
+      {"substrate", subPort}, {"coord-a", freePort()}, {"coord-b", freePort()}};
+  spawnRole("substrate", "substrate", subPort, wiring);
+  spawnRole("coordinator", "coord-a", wiring[1].second, wiring,
+            {"--admin-port", std::to_string(adminA)});
+  spawnRole("coordinator", "coord-b", wiring[2].second, wiring,
+            {"--admin-port", std::to_string(adminB)});
+  NetTransport driver(clock_);
+  driver.start();
+  for (const auto& [name, port] : wiring) {
+    driver.addPeer(name, "127.0.0.1:" + std::to_string(port));
+    driver.addPeer(name + ".ctl", "127.0.0.1:" + std::to_string(port));
+  }
+  for (const auto& name : {"substrate", "coord-a", "coord-b"}) {
+    awaitReady(driver, name);
+  }
+  const auto isLeader = [&](std::uint16_t port) {
+    try {
+      return httpBody(httpGet(clock_, port, "/statusz"))
+                 .find("\"leader\":true") != std::string::npos;
+    } catch (const Error&) {
+      return false;
+    }
+  };
+  ASSERT_TRUE(eventually([&] { return isLeader(adminA) || isLeader(adminB); }))
+      << "no coordinator ever took leadership";
+  shutdownInOrder(driver, {"substrate", "coord-a", "coord-b"});
+}
+
+// A historical asked to stop while a private-search slice is still folding
+// on one of its RPC workers. The fold captures the node (its metrics
+// registry, its documents); the process must not destroy the node until
+// the worker is joined. The client sees a typed Unavailable or a complete
+// answer, never a hang, and the historical exits 0.
+TEST_F(MultiprocessClusterTest, HistoricalShutdownMidFoldExitsCleanly) {
+  const std::uint16_t coordPort = freePort();
+  const std::uint16_t histPort = freePort();
+  const std::uint16_t brokerPort = freePort();
+  const std::uint16_t histAdmin = freePort();
+  const std::vector<std::pair<std::string, std::uint16_t>> wiring = {
+      {"substrate", coordPort},
+      {"coordinator", coordPort},
+      {"hist-a", histPort},
+      {"broker", brokerPort},
+  };
+  spawnRole("coordinator", "coordinator", coordPort, wiring);
+  spawnRole("historical", "hist-a", histPort, wiring,
+            {"--admin-port", std::to_string(histAdmin)});
+  spawnRole("broker", "broker", brokerPort, wiring);
+  NetTransport driver(clock_);
+  driver.start();
+  for (const auto& [name, port] : wiring) {
+    driver.addPeer(name, "127.0.0.1:" + std::to_string(port));
+    driver.addPeer(name + ".ctl", "127.0.0.1:" + std::to_string(port));
+  }
+  for (const auto& name : {"coordinator", "hist-a", "broker"}) {
+    awaitReady(driver, name);
+  }
+
+  // Big enough that one slice folds for a long while (a 512-bit modulus
+  // and 32-slot buffers over thousands of documents).
+  constexpr std::size_t kDocs = 3000;
+  std::vector<std::string> docs;
+  for (std::size_t i = 0; i < kDocs; ++i) {
+    docs.push_back((i % 97 == 0 ? "virus seen on host " : "routine line ") +
+                   std::to_string(i));
+  }
+  controlLoadDocuments(driver, "hist-a", "seclog", 0, docs);
+  const pss::Dictionary dict({"breach", "leak", "malware", "normal", "virus"});
+  const pss::SearchParams params{
+      .bufferLength = 32, .indexBufferLength = 256, .bloomHashes = 5};
+  pss::PrivateSearchClient client(dict, params, 512, 4242);
+  const pss::EncryptedQuery query = client.makeQuery({"virus"});
+
+  // One attempt, no client deadline worth the name: the outcome is exactly
+  // what the broker answered.
+  cluster::RpcPolicy once;
+  once.maxAttempts = 1;
+  once.deadlineMs = 120'000;
+  cluster::RemoteBroker broker(driver, "broker", once);
+  std::string outcome;
+  std::size_t documents = 0;
+  std::thread search([&] {
+    // Until the broker's registry mirror lists hist-a, the broker answers
+    // NotFound without searching; retry that for a while.
+    for (int attempt = 0; attempt < 100; ++attempt) {
+      try {
+        for (const auto& e : broker.privateSearch("seclog", dict, query)) {
+          documents += e.documentCount;
+        }
+        outcome = "answer";
+      } catch (const NotFound& e) {
+        outcome = std::string("not found: ") + e.what();
+        clock_.sleepFor(100);
+        continue;
+      } catch (const Unavailable& e) {
+        outcome = "unavailable";
+      } catch (const std::exception& e) {
+        outcome = std::string("unexpected error: ") + e.what();
+      }
+      return;
+    }
+  });
+
+  // The slice counter ticks as the kPssSearch handler starts folding.
+  const auto sliceSearches = [&]() -> long {
+    try {
+      std::istringstream metrics(
+          httpBody(httpGet(clock_, histAdmin, "/metrics")));
+      for (std::string line; std::getline(metrics, line);) {
+        if (line.empty() || line[0] == '#' ||
+            line.find("historical_pss_slice_searches") == std::string::npos) {
+          continue;
+        }
+        return std::stol(line.substr(line.rfind(' ') + 1));
+      }
+    } catch (const Error&) {
+    }
+    return 0;
+  };
+  const bool folding = eventually([&] { return sliceSearches() > 0; }, 60'000);
+  controlShutdown(driver, "hist-a");
+  const int status = proc("hist-a").wait();
+  search.join();
+  ASSERT_TRUE(folding) << "the slice search never started";
+  EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0)
+      << "hist-a exited with status " << status;
+  EXPECT_TRUE(outcome == "unavailable" ||
+              (outcome == "answer" && documents == kDocs))
+      << outcome << " covering " << documents << " documents";
+
+  for (const auto& name : {"coordinator", "broker"}) {
+    controlShutdown(driver, name);
+    const int s = proc(name).wait();
+    EXPECT_TRUE(WIFEXITED(s) && WEXITSTATUS(s) == 0)
+        << name << " exited with status " << s;
+  }
+}
+
+// A standing query whose dictionary repeats a word can be hosted by no
+// realtime node. Registration must refuse it with a typed error before it
+// reaches the metastore, and the broker keeps serving through its
+// reconcile rounds and exits 0.
+TEST_F(MultiprocessClusterTest, BrokerRefusesAnUnhostableSubscriptionAndLives) {
+  const std::uint16_t coordPort = freePort();
+  const std::uint16_t rtPort = freePort();
+  const std::uint16_t brokerPort = freePort();
+  const std::vector<std::pair<std::string, std::uint16_t>> wiring = {
+      {"substrate", coordPort},
+      {"coordinator", coordPort},
+      {"rt-0", rtPort},
+      {"broker", brokerPort},
+  };
+  spawnRole("coordinator", "coordinator", coordPort, wiring);
+  spawnRole("realtime", "rt-0", rtPort, wiring,
+            {"--data-source", "rt-events", "--trace-sink", ""});
+  spawnRole("broker", "broker", brokerPort, wiring, {"--trace-sink", ""});
+  NetTransport driver(clock_);
+  driver.start();
+  for (const auto& [name, port] : wiring) {
+    driver.addPeer(name, "127.0.0.1:" + std::to_string(port));
+    driver.addPeer(name + ".ctl", "127.0.0.1:" + std::to_string(port));
+  }
+  for (const auto& name : {"coordinator", "rt-0", "broker"}) {
+    awaitReady(driver, name);
+  }
+
+  cluster::RpcPolicy rpc;
+  rpc.maxAttempts = 3;
+  rpc.initialBackoffMs = 50;
+  rpc.deadlineMs = 4'000;
+  const pss::Dictionary dict({"pub0", "pub1", "pub2"});
+  const pss::SearchParams params{
+      .bufferLength = 16, .indexBufferLength = 256, .bloomHashes = 5};
+  pss::PrivateSearchClient search(dict, params, 128, 4242);
+  pss::SubscriptionSpec bad;
+  bad.docSource = "rt-events";
+  bad.dictionaryWords = {"pub0", "pub0", "pub2"};
+  bad.query = search.makeQuery({"pub0"});
+  bad.blocksPerSegment = 8;
+  EXPECT_THROW(cluster::registerSubscription(driver, "broker", bad, rpc),
+               InvalidArgument);
+
+  // A valid registration still reaches the realtime node, and the broker
+  // outlives several 500 ms reconcile rounds.
+  cluster::SubscriptionClient subs(driver, "broker", search, rpc);
+  pss::SnapshotPolicy policy;
+  policy.periodMs = 200;
+  const pss::SubscriptionId id = subs.subscribe({"pub1"}, "rt-events", 8,
+                                                policy);
+  EXPECT_TRUE(eventually([&] {
+    try {
+      return cluster::listSubscriptions(driver, "rt-0", rpc) ==
+             std::vector<pss::SubscriptionId>{id};
+    } catch (const Error&) {
+      return false;
+    }
+  })) << "rt-0 never hosted the valid subscription";
+  clock_.sleepFor(1'500);
+  EXPECT_NO_THROW(controlPing(driver, "broker"));
+
+  for (const auto& name : {"broker", "rt-0", "coordinator"}) {
+    controlShutdown(driver, name);
+    const int status = proc(name).wait();
+    EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0)
+        << name << " exited with status " << status;
   }
 }
 
